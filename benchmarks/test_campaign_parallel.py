@@ -1,25 +1,23 @@
-"""Campaign engine — the parallel evaluation hot path on the Crypt grid.
+"""Parallel evaluation on the Crypt grid is a drop-in for the serial loop.
 
-Each of the 168 Crypt templates compiles independently, so the campaign
-runner fans ``evaluate_config`` out over a process pool.  This bench
-measures the fan-out against the serial loop on the full grid, records
-both timings as an artifact, and — the part that must never regress —
-asserts the two paths produce point-for-point identical results.
-
-A wall-clock win is only asserted on multi-core machines; on a single
-CPU the bench still verifies determinism and bounds the pool overhead.
+Each of the 168 Crypt templates compiles independently, so the study
+engine fans the evaluation out over a process pool.  This bench runs
+both paths on the full grid and asserts they produce point-for-point
+identical results and the same Pareto set.  Wall-clock comparisons
+belong to the study benchmark (``perfbench/``), not here: the artifact
+records only deterministic facts, so re-running rewrites it
+byte-identically.
 """
 
 from __future__ import annotations
 
-import os
-from time import perf_counter
-
 from benchmarks.conftest import save_artifact
 from repro.apps.registry import build_workload
-from repro.campaign.runner import evaluate_configs
 from repro.compiler import IRInterpreter
 from repro.explore import crypt_space, pareto_filter
+from repro.study import evaluate_configs
+
+WORKERS = 2
 
 
 def _inputs():
@@ -28,23 +26,10 @@ def _inputs():
     return workload, profile, crypt_space()
 
 
-def test_campaign_parallel_evaluation(benchmark):
+def test_campaign_parallel_evaluation():
     workload, profile, configs = _inputs()
-    workers = min(4, os.cpu_count() or 1)
-
-    t0 = perf_counter()
     serial = evaluate_configs(configs, workload, profile, workers=1)
-    serial_s = perf_counter() - t0
-
-    t0 = perf_counter()
-    parallel = benchmark.pedantic(
-        evaluate_configs,
-        args=(configs, workload, profile),
-        kwargs={"workers": workers},
-        rounds=1,
-        iterations=1,
-    )
-    parallel_s = perf_counter() - t0
+    parallel = evaluate_configs(configs, workload, profile, workers=WORKERS)
 
     # determinism: the fan-out must be a drop-in for the serial loop
     assert [(p.label, p.area, p.cycles) for p in serial] == [
@@ -60,30 +45,17 @@ def test_campaign_parallel_evaluation(benchmark):
         p.label for p in parallel_pareto
     ]
 
-    on_ci = bool(os.environ.get("CI"))
-    if workers > 1 and (os.cpu_count() or 1) > 1 and not on_ci:
-        # multi-core, dedicated machine: the pool must buy wall-clock
-        assert parallel_s < serial_s, (
-            f"parallel ({parallel_s:.2f}s) not faster than serial "
-            f"({serial_s:.2f}s) with {workers} workers"
-        )
-    else:
-        # single core or a shared CI runner: timing is not trustworthy
-        # enough for a strict win, only bound the pool overhead
-        assert parallel_s < serial_s * 2.0
-
     save_artifact(
         "campaign_parallel",
         "\n".join(
             [
-                "campaign engine: crypt_space() evaluation "
-                f"({len(configs)} points)",
-                f"  cpus            : {os.cpu_count()}",
-                f"  serial          : {serial_s:.2f} s",
-                f"  parallel (n={workers}) : {parallel_s:.2f} s",
-                f"  speedup         : {serial_s / parallel_s:.2f}x",
+                "parallel evaluation: crypt_space() "
+                f"({len(configs)} points, {WORKERS} workers vs serial)",
+                f"  feasible        : {sum(p.feasible for p in parallel)}",
                 f"  pareto points   : {len(parallel_pareto)} (identical "
                 "serial vs parallel)",
+                "  pareto front    : "
+                + ", ".join(p.label for p in parallel_pareto),
             ]
         ),
     )

@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""A two-workload sweep through the declarative Study API.
+"""A two-workload campaign through the declarative Study API.
 
-What used to need the separate campaign path is now two studies sharing
-one on-disk result cache: sweep the Crypt kernel over the small grid
-and the FIR kernel over the MUL-equipped DSP grid, select a winner with
-the weighted norm, and let the cache make the second invocation
-near-free — run this script twice and watch the "evaluated" counts drop
-to zero.
+A campaign is two studies sharing one on-disk result cache: sweep the
+Crypt kernel over the small grid and the FIR kernel over the
+MUL-equipped DSP grid, select a winner with the weighted norm, and let
+the cache make the second invocation near-free — run this script twice
+and watch the "evaluated" counts drop to zero.
 
 The same sweep runs from the shell as:
 
     python -m repro study --workloads crypt --space small --select
     python -m repro study --workloads fir --space dsp --select
-
-(or via the campaign alias:
-    python -m repro campaign --workloads crypt,fir --spaces small,dsp \
-        --select --workers 4)
 
 Run:  python examples/campaign_sweep.py
 """

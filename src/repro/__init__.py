@@ -23,10 +23,9 @@ Objectives and search strategies are registries (``register_objective``,
 ``register_strategy``) — the ``energy``/``edp`` axes ride on a
 switching-activity model fed by simulator transport traces
 (:mod:`repro.energy`), and technology parameter sets are a registry
-too (``register_technology``).
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+too (``register_technology``).  Studies sharing one :class:`ResultCache`
+resume each other's work: a killed sweep restarts at the first
+un-cached point.
 """
 
 __version__ = "1.0.0"
@@ -115,14 +114,9 @@ from repro.testcost import (
     transport_latency,
 )
 
-# Campaign engine (also behind the `python -m repro` CLI)
+# Workload/space registries and the on-disk result cache
 from repro.apps.registry import build_workload, workload_names
-from repro.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    ResultCache,
-    run_campaign,
-)
+from repro.campaign import ResultCache
 from repro.explore.space import dsp_space, space_by_name, space_names
 
 # Study engine — the declarative entry point over everything above
@@ -161,8 +155,6 @@ __all__ = [
     "ATPGResult",
     "ArchConfig",
     "Architecture",
-    "CampaignResult",
-    "CampaignSpec",
     "CompileResult",
     "ComponentKind",
     "ComponentSpec",
@@ -232,7 +224,6 @@ __all__ = [
     "register_strategy",
     "register_technology",
     "run_atpg",
-    "run_campaign",
     "run_march",
     "run_study",
     "schedule_tests",

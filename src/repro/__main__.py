@@ -1,21 +1,17 @@
 """The ``python -m repro`` command line.
 
-The batch subcommands drive the paper's flow at campaign scale:
+The batch subcommands drive the paper's flow:
 
-* ``study``    — the general entry point: one declarative spec
-  (workloads, space, objectives, strategy) through the study engine,
-* ``explore``  — one workload on one named space (a thin alias for a
-  one-workload exhaustive study),
-* ``campaign`` — a full spec (JSON file or flags): workloads x spaces x
-  widths, parallel workers, on-disk result cache, per-run exports —
-  executed as N studies sharing the cache,
+* ``study``    — the one exploration entry point: a declarative spec
+  (workloads, space, objectives, strategy) through the study engine;
+  a campaign over several spaces or widths is one ``study`` per
+  (space, width) sharing ``--cache-dir``,
 * ``energy``   — compile one workload onto one configuration, simulate
   it with activity tracing and print the component-level energy
   breakdown,
 * ``report``   — re-emit / Pareto-filter previously exported results,
 * ``list``     — show the registered workloads, spaces, objectives,
   search strategies and technology parameter sets,
-* ``bench``    — run the tracked evaluation-pipeline benchmark suite,
 * ``trace``    — validate / summarize a recorded telemetry trace,
 * ``cache``    — verify / repair / stat an on-disk result cache.
 
@@ -30,20 +26,18 @@ The service subcommands run the same engine as a long-lived job server
 * ``results``  — fetch a finished job's result JSON,
 * ``cancel``   — cancel a queued or running job.
 
-``study`` and ``campaign`` take ``--fault-policy skip|retry`` (plus
-``--max-retries`` and ``--point-timeout``) so one dying configuration
-costs a point, not the run; ``study`` additionally checkpoints with
-``--checkpoint FILE`` / ``--checkpoint-every N`` and continues a killed
-run with ``--resume FILE``.  Study exit codes are structured: 0 clean,
-1 usage/runtime error, 3 interrupted (partial result), 4 completed but
-with failed points recorded.
+``study`` takes ``--fault-policy skip|retry`` (plus ``--max-retries``
+and ``--point-timeout``) so one dying configuration costs a point, not
+the run, checkpoints with ``--checkpoint FILE`` / ``--checkpoint-every
+N`` and continues a killed run with ``--resume FILE``.  Study exit
+codes are structured: 0 clean, 1 usage/runtime error, 3 interrupted
+(partial result), 4 completed but with failed points recorded.
 
-``study``, ``explore`` and ``campaign`` accept ``--profile`` to dump a
-cProfile top-25 (cumulative) of the run to stderr.  ``study``,
-``campaign`` and ``energy`` accept ``--trace FILE.jsonl`` (record the
-structured telemetry stream) and ``--metrics-out FILE.json`` (write
-the phase timers and counters); both are strictly opt-in and change no
-results.
+``study`` and ``energy`` accept ``--profile`` to dump a cProfile
+top-25 (cumulative) of the run to stderr, ``--trace FILE.jsonl``
+(record the structured telemetry stream) and ``--metrics-out
+FILE.json`` (write the phase timers and counters); all are strictly
+opt-in and change no results.
 
 All tabular output goes through :mod:`repro.reporting`, so files written
 here feed straight back into ``report`` (and any spreadsheet).
@@ -57,7 +51,7 @@ import sys
 from pathlib import Path
 
 from repro.apps.registry import workload_entry, workload_names
-from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.campaign import ResultCache
 from repro.energy import technology_by_name, technology_names
 from repro.explore.pareto import pareto_filter
 from repro.explore.space import space_by_name, space_names
@@ -329,95 +323,6 @@ def cmd_study(args: argparse.Namespace) -> int:
         text = _points_text(points, args.format)
     _emit(text, args.output)
     return _study_exit_code(result)
-
-
-# ----------------------------------------------------------------------
-# explore (thin alias: a one-workload exhaustive study)
-# ----------------------------------------------------------------------
-def cmd_explore(args: argparse.Namespace) -> int:
-    objectives = ("area", "cycles")
-    if args.test_costs:
-        objectives += ("test_cost",)
-    result = _run_study(args, StudySpec(
-        name=f"explore-{args.workload}",
-        workloads=(args.workload,),
-        space=args.space,
-        width=args.width,
-        objectives=objectives,
-        strategy="exhaustive",
-        select=args.select,
-        march=args.march,
-    ))
-    run = result.single
-    points = run.result.pareto2d if args.pareto else run.result.points
-    if args.format == "summary":
-        text = run.result.summary()
-        text += (
-            f"\n  cache: {run.stats.cache_hits} hits, "
-            f"{run.stats.evaluated} evaluated in {run.stats.elapsed:.2f}s"
-        )
-        for line in _selection_lines(result.runs):
-            text += "\n" + line
-    else:
-        text = _points_text(points, args.format)
-    _emit(text, args.output)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# campaign
-# ----------------------------------------------------------------------
-def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    if args.spec:
-        return CampaignSpec.from_json(Path(args.spec).read_text())
-    if not args.workloads:
-        raise SystemExit("campaign: need --spec FILE or --workloads LIST")
-    return CampaignSpec(
-        name=args.name,
-        workloads=tuple(args.workloads.split(",")),
-        spaces=tuple(args.spaces.split(",")),
-        widths=tuple(int(w) for w in args.widths.split(",")),
-        attach_test_costs=args.test_costs,
-        select=args.select,
-        march=args.march,
-    )
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    tracer = _make_tracer(args)
-    try:
-        campaign = _maybe_profiled(
-            args,
-            lambda: run_campaign(
-                spec,
-                workers=args.workers,
-                cache=_make_cache(args),
-                progress=None if args.quiet else _progress,
-                tracer=tracer,
-                collect_metrics=_collect_metrics(args),
-                policy=_make_policy(args),
-            ),
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    _write_metrics(campaign.runs, args)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "spec.json").write_text(spec.to_json() + "\n")
-        for run in campaign.runs:
-            stem = run.label.replace("/", "__")
-            text = _points_text(run.result.points, args.format)
-            suffix = "csv" if args.format == "csv" else "json"
-            (out / f"{stem}.{suffix}").write_text(text)
-        print(f"wrote {len(campaign.runs)} result files to {out}",
-              file=sys.stderr)
-    print(campaign.summary())
-    for line in _selection_lines(campaign.runs):
-        print(line)
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -925,30 +830,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        append_history,
-        format_report,
-        run_benchmarks,
-        write_report,
-    )
-
-    suites = (
-        ("small", "medium") if args.suite == "full" else (args.suite,)
-    )
-    report = run_benchmarks(suites=suites)
-    print(format_report(report))
-    if not args.no_write:
-        out = write_report(report, args.output)
-        print(f"wrote {out}", file=sys.stderr)
-        history = append_history(report, args.history)
-        print(f"appended {history}", file=sys.stderr)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # list
 # ----------------------------------------------------------------------
 def cmd_list(args: argparse.Namespace) -> int:
@@ -1038,12 +919,9 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
                         "a point past it is recorded as failed")
 
 
-def _add_run_args(p: argparse.ArgumentParser, test_costs: bool = True) -> None:
+def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size; 1 = serial (default)")
-    if test_costs:
-        p.add_argument("--test-costs", action="store_true",
-                       help="attach analytical test costs to the Pareto set")
     p.add_argument("--select", action="store_true",
                    help="pick an architecture with the weighted norm")
     p.add_argument("--march", default="March C-",
@@ -1058,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Design and test space exploration of TTAs "
-                    "(DATE 2000) — study and campaign driver.",
+                    "(DATE 2000) — study driver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1094,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="summary")
     p.add_argument("-o", "--output", default=None,
                    help="write to file instead of stdout")
-    _add_run_args(p, test_costs=False)
+    _add_run_args(p)
     _add_cache_args(p)
     _add_telemetry_args(p)
     _add_fault_args(p)
@@ -1113,42 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None (not 1) so a --spec file's own `workers` field wins unless
     # the flag is given explicitly.
     p.set_defaults(func=cmd_study, workers=None)
-
-    p = sub.add_parser("explore", help="one workload on one space")
-    p.add_argument("--workload", required=True,
-                   help=f"one of: {', '.join(workload_names())}")
-    p.add_argument("--space", default="small",
-                   help=f"one of: {', '.join(space_names())}")
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--pareto", action="store_true",
-                   help="export only the 2-D Pareto points")
-    p.add_argument("--format", choices=("summary", "csv", "json"),
-                   default="summary")
-    p.add_argument("-o", "--output", default=None,
-                   help="write to file instead of stdout")
-    _add_run_args(p)
-    _add_cache_args(p)
-    p.set_defaults(func=cmd_explore)
-
-    p = sub.add_parser("campaign", help="run a multi-workload campaign")
-    p.add_argument("--spec", default=None,
-                   help="campaign spec JSON file (overrides the flags)")
-    p.add_argument("--name", default="campaign")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workload names")
-    p.add_argument("--spaces", default="small",
-                   help="comma-separated space names")
-    p.add_argument("--widths", default="16",
-                   help="comma-separated datapath widths")
-    p.add_argument("--out-dir", default=None,
-                   help="write spec.json + per-run result files here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="format of the per-run result files")
-    _add_run_args(p)
-    _add_cache_args(p)
-    _add_telemetry_args(p)
-    _add_fault_args(p)
-    p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("energy",
                        help="component-level energy breakdown of one "
@@ -1229,28 +1071,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report",
                        help="re-emit exported results (CSV or JSON)")
-    p.add_argument("input", help="a result file written by explore/campaign")
+    p.add_argument("input", help="a result file written by study "
+                                 "--format csv|json")
     p.add_argument("--pareto", action="store_true",
                    help="keep only the 2-D Pareto points")
     p.add_argument("--format", choices=("summary", "csv", "json"),
                    default="summary")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("bench",
-                       help="run the evaluation-pipeline benchmark suite")
-    p.add_argument("--suite", choices=("small", "medium", "full"),
-                   default="full",
-                   help="which sweep sizes to time (default: full)")
-    p.add_argument("-o", "--output", default="BENCH_evaluate.json",
-                   help="benchmark report file (default: ./BENCH_evaluate.json)")
-    p.add_argument("--no-write", action="store_true",
-                   help="print the report without touching the file")
-    p.add_argument("--history", default="benchmarks/history.jsonl",
-                   help="JSONL file each run appends one line to "
-                        "(timestamp, commit, headline speedups); "
-                        "default: benchmarks/history.jsonl")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("cache",
                        help="verify, repair or stat a result-cache "

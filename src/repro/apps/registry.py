@@ -1,8 +1,8 @@
 """A workload registry: IR builders addressable by name.
 
-The campaign engine and the ``python -m repro`` CLI refer to workloads
-by name ("crypt", "fir", ...) so campaign specs stay declarative JSON
-instead of Python call sites.  Each entry pins the builder's reference
+The study engine and the ``python -m repro`` CLI refer to workloads by
+name ("crypt", "fir", ...) so study specs stay declarative JSON instead
+of Python call sites.  Each entry pins the builder's reference
 inputs, making the produced IR — and therefore cache keys and results —
 reproducible across runs and machines.
 """

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import random
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -264,8 +265,19 @@ def _cache_load(key: str) -> ATPGResult | None:
 
 
 def _cache_store(key: str, result: ATPGResult) -> None:
+    """Write ``<key>.json`` atomically: temp file, then rename.
+
+    Readers never see a torn entry.  The temp name is unique per writer
+    (process and thread: studies run in threads of one service process)
+    and does not match ``*.json``, so entry walks skip it.
+    """
     directory = _cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{key}.json"
-    with path.open("w") as fh:
-        json.dump(result.to_json(), fh)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        with tmp.open("w") as fh:
+            json.dump(result.to_json(), fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -1,17 +1,9 @@
-"""Campaign engine: orchestrated multi-workload design-space sweeps.
+"""The sharded on-disk result cache shared by studies.
 
-Turns the one-shot :func:`repro.explore.explore` call into batched
-campaigns — the production layer the MOVE-style toolchains put on top of
-their evaluators:
-
-* :class:`CampaignSpec` — declarative (workloads x spaces x widths,
-  test-cost / selection switches), JSON round-trip;
-* :class:`ResultCache` — on-disk point cache making campaigns
-  resumable and re-runs near-free;
-* :func:`run_campaign` — the executor, with a process-pool fan-out for
-  ``workers > 1`` and a deterministic serial path for ``workers=1``.
-
-Driven from Python or the ``python -m repro`` CLI.
+A campaign — many workloads over many spaces and widths — is N
+:class:`~repro.study.engine.Study` runs sharing one :class:`ResultCache`:
+every evaluated point is persisted as it completes, so an interrupted
+campaign resumes at the first un-cached point and a re-run is near-free.
 """
 
 from repro.campaign.cache import (
@@ -20,24 +12,10 @@ from repro.campaign.cache import (
     cache_key,
     default_cache_dir,
 )
-from repro.campaign.runner import (
-    CampaignResult,
-    RunStats,
-    WorkloadRun,
-    evaluate_configs,
-    run_campaign,
-)
-from repro.campaign.spec import CampaignSpec
 
 __all__ = [
     "CacheStats",
-    "CampaignResult",
-    "CampaignSpec",
     "ResultCache",
-    "RunStats",
-    "WorkloadRun",
     "cache_key",
     "default_cache_dir",
-    "evaluate_configs",
-    "run_campaign",
 ]

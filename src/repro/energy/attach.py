@@ -23,6 +23,7 @@ from repro.energy.model import TechnologyParameters, technology_by_name
 from repro.energy.report import EnergyBreakdown, energy_report
 from repro.explore.evaluate import EvaluatedPoint, EvaluationContext
 from repro.explore.space import build_architecture_cached
+from repro.telemetry.metrics import NULL_METRICS
 
 #: (workload fp, profile fp, config, width, tech fp) -> breakdown total.
 _ENERGY_CACHE: dict[tuple, float] = {}
@@ -111,10 +112,12 @@ def attach_energy(
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) counts
     memo hits vs fresh simulations (``energy_memo_hits`` /
     ``energy_simulated``) and feeds the ``simulate``/``energy_model``
-    phase timers; ``None`` skips all bookkeeping.
+    phase timers; ``None`` records nothing.
     """
     if tech is None:
         tech = technology_by_name("default")
+    if metrics is None:
+        metrics = NULL_METRICS
     fingerprint = tech.fingerprint()
     workload_id = _workload_fingerprint(workload)
     shared = context or _default_context(workload, width)
@@ -128,8 +131,7 @@ def attach_energy(
         key = (workload_id, profile_id, point.config, width, fingerprint)
         cached = _ENERGY_CACHE.get(key)
         if cached is None:
-            if metrics is not None:
-                metrics.count("energy_simulated")
+            metrics.count("energy_simulated")
             breakdown = energy_breakdown_of(
                 point,
                 workload,
@@ -141,7 +143,7 @@ def attach_energy(
             )
             cached = round(breakdown.total, 3)
             _ENERGY_CACHE[key] = cached
-        elif metrics is not None:
+        else:
             metrics.count("energy_memo_hits")
         point.energy = cached
     return points

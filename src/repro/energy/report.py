@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.components.spec import ComponentKind
 from repro.energy.model import EnergyModel, TechnologyParameters
+from repro.telemetry.metrics import NULL_METRICS
 from repro.tta.activity import ActivityTrace
 from repro.tta.arch import Architecture
 from repro.tta.isa import Program
@@ -176,26 +177,21 @@ def energy_report(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
     activity-traced simulation as the ``simulate`` phase and the model
-    fold as ``energy_model``; ``None`` skips all bookkeeping.
+    fold as ``energy_model``; ``None`` records nothing.
     """
     from repro.energy.model import technology_by_name
 
     if tech is None:
         tech = technology_by_name("default")
-    sim = TTASimulator(arch, program, activity=True)
     if metrics is None:
+        metrics = NULL_METRICS
+    sim = TTASimulator(arch, program, activity=True)
+    with metrics.phase("simulate"):
         result = sim.run(max_cycles=max_cycles)
-    else:
-        with metrics.phase("simulate"):
-            result = sim.run(max_cycles=max_cycles)
     if not result.halted:
         raise ValueError(
             f"{program.name} on {arch.name}: no halt within "
             f"{max_cycles} cycles; cannot attribute energy"
-        )
-    if metrics is None:
-        return breakdown_from_trace(
-            sim.activity, arch, tech, program_name=program.name
         )
     with metrics.phase("energy_model"):
         return breakdown_from_trace(

@@ -45,7 +45,7 @@ from repro.explore.space import (
     build_architecture_cached,
 )
 from repro.resilience import faults as _faults
-from repro.telemetry.metrics import MetricsCollector
+from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
 from repro.tta.arch import Architecture
 from repro.tta.encoding import MoveEncoder
 from repro.tta.timing import validate_program
@@ -121,19 +121,16 @@ class EvaluationContext:
         workload: IRFunction,
         profile: dict[str, int],
         width: int = 16,
-        validate: bool = True,
         metrics: MetricsCollector | None = None,
     ) -> None:
         workload.validate()                 # once per sweep, not per config
         self.workload = workload
         self.profile = dict(profile)
         self.width = width
-        self.validate = validate
-        #: Optional phase-timer/counter sink.  ``None`` (the default)
-        #: keeps evaluation on the untimed hot path; callers may also
-        #: swap a collector in per call (the pool's telemetry worker
-        #: does, to ship per-configuration deltas).
-        self.metrics = metrics
+        #: Phase-timer/counter sink; ``None`` means :data:`NULL_METRICS`,
+        #: which records nothing.  The pool worker swaps a fresh
+        #: collector in per call to ship per-configuration deltas.
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.required_ops = required_fu_opcodes(workload)
         # RF arrangement -> (rewritten IR, allocation), or the message
         # of the AllocationError the arrangement raises (stored as a
@@ -152,13 +149,9 @@ class EvaluationContext:
         key = config.rfs
         entry = self._allocations.get(key)
         if entry is None:
-            metrics = self.metrics
             try:
-                if metrics is None:
+                with self.metrics.phase("regalloc"):
                     entry = allocate(self.workload, arch, self.profile)
-                else:
-                    with metrics.phase("regalloc"):
-                        entry = allocate(self.workload, arch, self.profile)
             except AllocationError as exc:
                 entry = str(exc)
             self._allocations[key] = entry
@@ -171,52 +164,15 @@ class EvaluationContext:
     ) -> EvaluatedPoint:
         """Compile the workload onto one configuration and cost it.
 
-        When a :class:`~repro.telemetry.MetricsCollector` is attached
-        the metered twin runs instead; the untimed path below stays
-        branch-free so sweeps with telemetry off pay nothing.
-        """
-        _faults.on_evaluate(config)
-        if self.metrics is not None:
-            return self._evaluate_metered(config, keep_compile_result)
-        arch = build_architecture_cached(config, self.width)
-        area = arch.area()
-        # Exact feasibility pre-checks: both conditions are precisely
-        # the early failures ``allocate``/``schedule_allocated`` would
-        # raise, so rejecting here changes nothing but the time spent.
-        if config.total_registers < _MIN_LOCAL_POOL:
-            return EvaluatedPoint(config=config, area=area, cycles=None)
-        if not self.required_ops <= arch.ops_supported():
-            return EvaluatedPoint(config=config, area=area, cycles=None)
-        try:
-            rewritten, allocation = self._allocation(config, arch)
-            compiled = schedule_allocated(
-                rewritten, allocation, arch, validate=self.validate
-            )
-        except (AllocationError, ScheduleError):
-            return EvaluatedPoint(config=config, area=area, cycles=None)
-        cycles = compiled.static_cycles(self.profile)
-        return EvaluatedPoint(
-            config=config,
-            area=area,
-            cycles=cycles,
-            code_size=MoveEncoder(arch).program_memory_bits(
-                compiled.program
-            ),
-            compile_result=compiled if keep_compile_result else None,
-        )
-
-    def _evaluate_metered(
-        self, config: ArchConfig, keep_compile_result: bool = False
-    ) -> EvaluatedPoint:
-        """``evaluate`` with phase timers — result-identical by design.
-
-        The phases are disjoint (build / netlist_stats / regalloc /
-        schedule / validate, never nested), so their seconds sum to at
-        most the serial wall clock.  Scheduling and timing validation
-        are timed separately by scheduling unvalidated and running
+        Everything is recorded into the context's collector (a no-op
+        with telemetry off).  The phases are disjoint (build /
+        netlist_stats / regalloc / schedule / validate, never nested),
+        so their seconds sum to at most the serial wall clock.
+        Scheduling and timing validation are timed separately by
+        scheduling unvalidated and running
         :func:`~repro.tta.timing.validate_program` here — exactly what
         ``schedule_allocated(validate=True)`` does internally, so a
-        violation still yields the same infeasible point.  Counters
+        violation yields the same infeasible point.  Counters
         (``evaluations``, ``feasible``, ``infeasible_*``) are
         per-configuration and therefore merge deterministically from
         any pool interleaving.  The whole call is additionally observed
@@ -224,34 +180,30 @@ class EvaluationContext:
         the latency distribution rides the same snapshot channel as
         the counters.
         """
+        _faults.on_evaluate(config)
+        metrics = self.metrics
         start = perf_counter()
         try:
-            return self._evaluate_metered_inner(config, keep_compile_result)
-        finally:
-            self.metrics.observe("eval_seconds", perf_counter() - start)
-
-    def _evaluate_metered_inner(
-        self, config: ArchConfig, keep_compile_result: bool = False
-    ) -> EvaluatedPoint:
-        metrics = self.metrics
-        with metrics.phase("build"):
-            arch = build_architecture_cached(config, self.width)
-        with metrics.phase("netlist_stats"):
-            area = arch.area()
-        metrics.count("evaluations")
-        if (
-            config.total_registers < _MIN_LOCAL_POOL
-            or not self.required_ops <= arch.ops_supported()
-        ):
-            metrics.count("infeasible_precheck")
-            return EvaluatedPoint(config=config, area=area, cycles=None)
-        try:
-            rewritten, allocation = self._allocation(config, arch)
-            with metrics.phase("schedule"):
-                compiled = schedule_allocated(
-                    rewritten, allocation, arch, validate=False
-                )
-            if self.validate:
+            with metrics.phase("build"):
+                arch = build_architecture_cached(config, self.width)
+            with metrics.phase("netlist_stats"):
+                area = arch.area()
+            metrics.count("evaluations")
+            # Exact feasibility pre-checks: both conditions are precisely
+            # the early failures ``allocate``/``schedule_allocated`` would
+            # raise, so rejecting here changes nothing but the time spent.
+            if (
+                config.total_registers < _MIN_LOCAL_POOL
+                or not self.required_ops <= arch.ops_supported()
+            ):
+                metrics.count("infeasible_precheck")
+                return EvaluatedPoint(config=config, area=area, cycles=None)
+            try:
+                rewritten, allocation = self._allocation(config, arch)
+                with metrics.phase("schedule"):
+                    compiled = schedule_allocated(
+                        rewritten, allocation, arch, validate=False
+                    )
                 with metrics.phase("validate"):
                     violations = validate_program(
                         arch, compiled.program, strict=False
@@ -261,20 +213,21 @@ class EvaluationContext:
                     return EvaluatedPoint(
                         config=config, area=area, cycles=None
                     )
-        except (AllocationError, ScheduleError):
-            metrics.count("infeasible_compile")
-            return EvaluatedPoint(config=config, area=area, cycles=None)
-        metrics.count("feasible")
-        cycles = compiled.static_cycles(self.profile)
-        return EvaluatedPoint(
-            config=config,
-            area=area,
-            cycles=cycles,
-            code_size=MoveEncoder(arch).program_memory_bits(
-                compiled.program
-            ),
-            compile_result=compiled if keep_compile_result else None,
-        )
+            except (AllocationError, ScheduleError):
+                metrics.count("infeasible_compile")
+                return EvaluatedPoint(config=config, area=area, cycles=None)
+            metrics.count("feasible")
+            return EvaluatedPoint(
+                config=config,
+                area=area,
+                cycles=compiled.static_cycles(self.profile),
+                code_size=MoveEncoder(arch).program_memory_bits(
+                    compiled.program
+                ),
+                compile_result=compiled if keep_compile_result else None,
+            )
+        finally:
+            metrics.observe("eval_seconds", perf_counter() - start)
 
     def evaluate_space(self, space: list[ArchConfig]) -> list[EvaluatedPoint]:
         """Evaluate every configuration (feasible or not) in ``space``."""
@@ -300,35 +253,24 @@ def init_evaluation_worker(
     _WORKER_CONTEXT["context"] = EvaluationContext(workload, profile, width)
 
 
-def evaluate_config_worker(config: ArchConfig) -> EvaluatedPoint:
-    """Evaluate one configuration against the pinned worker context."""
-    context = _WORKER_CONTEXT.get("context")
-    if context is None:
-        raise RuntimeError("init_evaluation_worker() was not called")
-    return context.evaluate(config)
-
-
-def evaluate_config_worker_metered(
+def evaluate_config_worker(
     config: ArchConfig,
 ) -> tuple[EvaluatedPoint, dict]:
-    """Evaluate one configuration and ship its telemetry delta.
+    """Evaluate one configuration; return it with its telemetry delta.
 
     Pool workers cannot write the parent's trace, so each call measures
-    into a fresh collector and returns ``(point, snapshot)`` — the
-    per-configuration delta the parent merges on wave completion.
-    Per-configuration deltas (rather than per-worker totals) make the
-    merged counters independent of how the pool interleaved the chunks.
+    into a fresh collector and returns ``(point, snapshot)``; the
+    parent merges the snapshot into its own collector (a no-op when it
+    is not collecting).  Per-configuration deltas, rather than
+    per-worker totals, make the merged counters independent of how the
+    pool interleaved the work.
     """
     context = _WORKER_CONTEXT.get("context")
     if context is None:
         raise RuntimeError("init_evaluation_worker() was not called")
-    collector = MetricsCollector()
-    context.metrics = collector
-    try:
-        point = context.evaluate(config)
-    finally:
-        context.metrics = None
-    return point, collector.snapshot()
+    context.metrics = MetricsCollector()
+    point = context.evaluate(config)
+    return point, context.metrics.snapshot()
 
 
 def architecture_of(point: EvaluatedPoint, width: int = 16) -> Architecture:

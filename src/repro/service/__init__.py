@@ -1,9 +1,9 @@
 """The study service: a long-running, multi-tenant job server.
 
-The batch surfaces (``repro study``, ``repro campaign``) run one spec
-and exit.  This package turns the same engine into a *service*: a
-single asyncio process that accepts :class:`~repro.study.spec.
-StudySpec` submissions over a line-delimited JSON protocol
+The batch surface (``repro study``) runs one spec and exits.  This
+package turns the same engine into a *service*: a single asyncio
+process that accepts :class:`~repro.study.spec.StudySpec` submissions
+over a line-delimited JSON protocol
 (:mod:`~repro.service.protocol`), queues them with priorities and
 per-tenant fairness (:mod:`~repro.service.queue`), runs them against
 one shared worker budget and one shared result cache — deduplicating

@@ -15,8 +15,8 @@ its generalisations):
   one evaluation interface with caching, resume and process-pool
   fan-out;
 * :class:`Study` / :func:`run_study` — the executor, returning a
-  :class:`StudyResult`; the campaign runner is N studies sharing one
-  result cache.
+  :class:`StudyResult`; a campaign is N studies sharing one result
+  cache.
 """
 
 from repro.study.engine import (

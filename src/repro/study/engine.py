@@ -23,7 +23,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
-from repro.apps.registry import build_workload
+from repro.apps.registry import build_workload, workload_entry
+from repro.campaign.cache import decode_entry, encode_entry
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.ir import IRFunction
 from repro.energy.attach import attach_energy
@@ -32,7 +33,6 @@ from repro.explore.evaluate import (
     EvaluatedPoint,
     EvaluationContext,
     evaluate_config_worker,
-    evaluate_config_worker_metered,
     init_evaluation_worker,
 )
 from repro.explore.explorer import ExplorationResult
@@ -57,29 +57,15 @@ from repro.study.objectives import (
 )
 from repro.study.spec import StudySpec
 from repro.study.strategies import SearchJob, SearchOutcome, run_strategy
-from repro.telemetry.metrics import MetricsCollector, format_phases
+from repro.telemetry.metrics import (
+    NULL_METRICS,
+    MetricsCollector,
+    format_phases,
+)
 from repro.telemetry.tracer import Tracer
 from repro.testcost.cost import attach_test_costs
 
 ProgressFn = Callable[[str], None]
-
-_CODEC = None
-
-
-def _entry_codec():
-    """The cache's (encode_entry, decode_entry) pair, imported lazily.
-
-    Checkpoints store completed points in the exact entry shape the
-    result cache writes, so the two formats cannot drift — but
-    ``repro.campaign`` imports this module, so the codec import must
-    not run at import time.
-    """
-    global _CODEC
-    if _CODEC is None:
-        from repro.campaign.cache import decode_entry, encode_entry
-
-        _CODEC = (encode_entry, decode_entry)
-    return _CODEC
 
 
 @lru_cache(maxsize=256)
@@ -100,8 +86,6 @@ def _entry_profile(entry, width: int) -> tuple[tuple[str, int], ...]:
 
 def workload_profile(workload_name: str, width: int = 16) -> dict[str, int]:
     """Cached per-(workload, width) profile as a fresh dict."""
-    from repro.apps.registry import workload_entry
-
     return dict(_entry_profile(workload_entry(workload_name), width))
 
 
@@ -140,7 +124,7 @@ def iter_evaluations(
     width: int,
     workers: int,
     context: EvaluationContext | None = None,
-    metrics: MetricsCollector | None = None,
+    metrics: MetricsCollector = NULL_METRICS,
     policy: FaultPolicy | None = None,
     token: CancelToken | None = None,
     on_retry: Callable | None = None,
@@ -166,11 +150,13 @@ def iter_evaluations(
     path — batch-per-wave strategies would otherwise rebuild the
     shared-work caches on every batch.
 
-    With ``metrics``, the serial path evaluates through a context that
-    carries the collector, and the pooled path switches to the metered
-    worker — each configuration's phase/counter delta travels back with
-    its point and is merged here, in submission order, so the merged
-    counters do not depend on pool scheduling.
+    Telemetry goes to ``metrics``: the serial path evaluates through a
+    context that carries the collector, and on the pool path each
+    configuration's phase/counter delta travels back with its point and
+    is merged here, in submission order, so the merged counters do not
+    depend on pool scheduling.  Outcomes drained into a
+    :class:`~repro.resilience.isolation.SweepInterrupted` are merged
+    and unwrapped the same way.
     """
     if workers <= 1 or len(configs) <= 1:
         if context is None:
@@ -184,27 +170,32 @@ def iter_evaluations(
                 context.evaluate, config, policy, on_retry=on_retry
             )
         return
-    worker_fn = (
-        evaluate_config_worker if metrics is None
-        else evaluate_config_worker_metered
-    )
-    for outcome in iter_pool_isolated(
-        configs,
-        worker_fn,
-        init_evaluation_worker,
-        (workload, profile, width),
-        min(workers, len(configs)),
-        policy=policy,
-        token=token,
-        on_retry=on_retry,
-    ):
-        if isinstance(outcome, tuple):      # metered: (point, snapshot)
-            point, snapshot = outcome
-            if metrics is not None:
-                metrics.merge(snapshot)
-            yield point
-        else:
-            yield outcome
+
+    def collect(outcome):
+        if isinstance(outcome, FailedPoint):
+            return outcome
+        point, snapshot = outcome
+        metrics.merge(snapshot)
+        return point
+
+    try:
+        for outcome in iter_pool_isolated(
+            configs,
+            evaluate_config_worker,
+            init_evaluation_worker,
+            (workload, profile, width),
+            min(workers, len(configs)),
+            policy=policy,
+            token=token,
+            on_retry=on_retry,
+        ):
+            yield collect(outcome)
+    except SweepInterrupted as exc:
+        exc.completed = {
+            index: collect(outcome)
+            for index, outcome in sorted(exc.completed.items())
+        }
+        raise
 
 
 def evaluate_configs(
@@ -233,7 +224,7 @@ class CachedEvaluator:
     evaluations for the run statistics.
 
     With telemetry attached (both default off): ``metrics`` collects
-    phase timers (through the context and the pool's metered workers)
+    phase timers (through the context and the pool workers' deltas)
     plus the ``proposed``/``cache_hits``/``evaluated`` counters —
     ``proposed == cache_hits + evaluated`` always, every requested
     configuration is exactly one of the two — and ``tracer`` records
@@ -253,7 +244,7 @@ class CachedEvaluator:
         workers: int = 1,
         progress: ProgressFn | None = None,
         label: str | None = None,
-        metrics: MetricsCollector | None = None,
+        metrics: MetricsCollector = NULL_METRICS,
         tracer: Tracer | None = None,
         policy: FaultPolicy | None = None,
         token: CancelToken | None = None,
@@ -315,9 +306,10 @@ class CachedEvaluator:
         if self.overlay:
             entry = self.overlay.get(config.label())
             if entry is not None:
-                _, decode = _entry_codec()
                 try:
-                    point = decode(entry, self.march, self.energy_model)
+                    point = decode_entry(
+                        entry, self.march, self.energy_model
+                    )
                 except (ValueError, KeyError, TypeError, AttributeError):
                     point = None
                 if point is not None:
@@ -332,11 +324,10 @@ class CachedEvaluator:
     def _remember(self, point: EvaluatedPoint) -> None:
         """Record one completed point into the study checkpoint."""
         if self.manager is not None and not point.failed:
-            encode, _ = _entry_codec()
             self.manager.record_point(
                 self.label,
                 point.label,
-                encode(
+                encode_entry(
                     self.workload_name, point, self.width, self.march,
                     self.energy_model,
                 ),
@@ -352,8 +343,7 @@ class CachedEvaluator:
 
     def _on_retry(self, config, attempt: int, exc: BaseException) -> None:
         """Between-attempt hook: count and trace the retry."""
-        if self.metrics is not None:
-            self.metrics.count("points_retried")
+        self.metrics.count("points_retried")
         if self.tracer is not None:
             self.tracer.event(
                 "retry",
@@ -375,8 +365,7 @@ class CachedEvaluator:
         """
         if isinstance(outcome, FailedPoint):
             self.failures.append(outcome)
-            if self.metrics is not None:
-                self.metrics.count("points_failed")
+            self.metrics.count("points_failed")
             if self.tracer is not None:
                 self.tracer.event(
                     "failure",
@@ -410,19 +399,16 @@ class CachedEvaluator:
         """Cost one configuration, cache-first."""
         if self.token is not None:
             self.token.raise_if_cancelled()
-        if self.metrics is not None:
-            self.metrics.count("proposed")
+        self.metrics.count("proposed")
         cached = self._lookup(config)
         if cached is not None:
             self.cache_hits += 1
-            if self.metrics is not None:
-                self.metrics.count("cache_hits")
+            self.metrics.count("cache_hits")
             if self.tracer is not None:
                 self._trace_point(cached, "cache")
             self._remember(cached)
             return cached
-        if self.metrics is not None:
-            self.metrics.count("evaluated")
+        self.metrics.count("evaluated")
         outcome = call_guarded(
             self.context.evaluate, config, self.policy,
             on_retry=self._on_retry,
@@ -446,10 +432,9 @@ class CachedEvaluator:
             else:
                 missing.append(i)
         self.cache_hits += len(configs) - len(missing)
-        if self.metrics is not None:
-            self.metrics.count("proposed", len(configs))
-            self.metrics.count("cache_hits", len(configs) - len(missing))
-            self.metrics.count("evaluated", len(missing))
+        self.metrics.count("proposed", len(configs))
+        self.metrics.count("cache_hits", len(configs) - len(missing))
+        self.metrics.count("evaluated", len(missing))
         # A pool can't win on a batch that gives each worker at most
         # one configuration (the iterative strategy's 2-3-config
         # waves): spinning it up re-initialises every worker's
@@ -487,7 +472,7 @@ class CachedEvaluator:
                 self.width,
                 workers,
                 context=self.context if serial else None,
-                metrics=None if serial else self.metrics,
+                metrics=self.metrics,
                 policy=self.policy,
                 token=self.token,
                 on_retry=self._on_retry,
@@ -502,10 +487,6 @@ class CachedEvaluator:
                 # yet yielded, then surface the interruption — the
                 # study turns it into a partial result.
                 for sub_index, outcome in sorted(exc.completed.items()):
-                    if isinstance(outcome, tuple):   # metered worker
-                        outcome, snapshot = outcome
-                        if self.metrics is not None:
-                            self.metrics.merge(snapshot)
                     points[missing[sub_index]] = self._accept(outcome, wave)
                 raise StudyInterrupted() from None
         return points
@@ -726,7 +707,8 @@ class Study:
     ``collect_metrics=True`` fills each run's :class:`RunStats` with
     phase timers and counters.  A tracer implies metrics collection
     (the per-run ``metrics`` event needs the numbers).  Both off — the
-    default — leaves every hot path on its unmetered branch.
+    default — records into :data:`~repro.telemetry.metrics.NULL_METRICS`,
+    which keeps nothing.
     """
 
     def __init__(
@@ -881,7 +863,7 @@ class Study:
         tech = technology_by_name(spec.tech)
         energy_model = tech.fingerprint() if needs_energy else None
         label = f"{workload_name}/{spec.space_label}/w{spec.width}"
-        metrics = MetricsCollector() if self.collect_metrics else None
+        metrics = MetricsCollector() if self.collect_metrics else NULL_METRICS
         cache_stats = getattr(self.cache, "stats", None)
         cache_before = (
             cache_stats.as_dict() if cache_stats is not None else None
@@ -914,7 +896,6 @@ class Study:
             "started": started,
             "total": len(configs),
             "evaluator": evaluator,
-            "metrics": metrics,
         }
         job = SearchJob(
             workload=workload,
@@ -938,7 +919,7 @@ class Study:
         result = ExplorationResult(
             workload=workload.name, profile=profile, points=outcome.points
         )
-        if metrics is not None and outcome.moves_proposed:
+        if outcome.moves_proposed:
             metrics.count("moves_proposed", outcome.moves_proposed)
             metrics.count("moves_accepted", outcome.moves_accepted)
             metrics.count("moves_rejected", outcome.moves_rejected)
@@ -956,13 +937,13 @@ class Study:
         post_pass_hits = 0
         if needs_test_costs:
             post_pass_hits += self._attach_test_costs(
-                workload_name, result, objectives, evaluator, metrics
+                result, objectives, evaluator
             )
         if needs_energy:
             post_pass_hits += self._attach_energy(
-                result, objectives, evaluator, tech, metrics
+                result, objectives, evaluator, tech
             )
-        if metrics is not None and post_pass_hits:
+        if post_pass_hits:
             metrics.count("post_pass_hits", post_pass_hits)
 
         calibrations: list = []
@@ -984,19 +965,15 @@ class Study:
 
         if cache_stats is not None and cache_before is not None:
             cache_delta = cache_stats.delta(cache_before)
-            if metrics is not None:
-                # "result_cache_" so the delta's "hits" cannot collide
-                # with the evaluator's own "cache_hits" counter.
-                for key, value in cache_delta.items():
-                    if value:
-                        metrics.count(f"result_cache_{key}", value)
+            # "result_cache_" so the delta's "hits" cannot collide with
+            # the evaluator's own "cache_hits" counter.
+            for key, value in cache_delta.items():
+                if value:
+                    metrics.count(f"result_cache_{key}", value)
             if self.tracer is not None:
                 self.tracer.event("cache", run=label, **cache_delta)
 
-        snapshot = (
-            metrics.snapshot() if metrics is not None
-            else {"phases": {}, "counters": {}, "histograms": {}}
-        )
+        snapshot = metrics.snapshot()
         stats = RunStats(
             total=len(configs),
             cache_hits=evaluator.cache_hits,
@@ -1006,7 +983,7 @@ class Study:
             post_pass_hits=post_pass_hits,
             phases=snapshot["phases"],
             counters=snapshot["counters"],
-            histograms=snapshot.get("histograms", {}),
+            histograms=snapshot["histograms"],
         )
         if self.tracer is not None:
             self.tracer.event(
@@ -1014,7 +991,7 @@ class Study:
                 run=label,
                 phases=snapshot["phases"],
                 counters=snapshot["counters"],
-                histograms=snapshot.get("histograms", {}),
+                histograms=snapshot["histograms"],
                 total=stats.total,
                 cache_hits=stats.cache_hits,
                 evaluated=stats.evaluated,
@@ -1052,12 +1029,12 @@ class Study:
             return None
         spec = self.spec
         evaluator: CachedEvaluator = cur["evaluator"]
-        metrics = cur["metrics"]
-        _, decode = _entry_codec()
         points: list[EvaluatedPoint] = []
         for entry in self.manager.points(cur["label"]).values():
             try:
-                point = decode(entry, evaluator.march, evaluator.energy_model)
+                point = decode_entry(
+                    entry, evaluator.march, evaluator.energy_model
+                )
             except (ValueError, KeyError, TypeError, AttributeError):
                 point = None
             if point is not None:
@@ -1066,10 +1043,7 @@ class Study:
             workload=cur["workload"], profile=evaluator.profile,
             points=points,
         )
-        snapshot = (
-            metrics.snapshot() if metrics is not None
-            else {"phases": {}, "counters": {}, "histograms": {}}
-        )
+        snapshot = evaluator.metrics.snapshot()
         stats = RunStats(
             total=cur["total"],
             cache_hits=evaluator.cache_hits,
@@ -1078,7 +1052,7 @@ class Study:
             elapsed=perf_counter() - cur["started"],
             phases=snapshot["phases"],
             counters=snapshot["counters"],
-            histograms=snapshot.get("histograms", {}),
+            histograms=snapshot["histograms"],
         )
         if self.tracer is not None:
             # The in-progress wave's telemetry would otherwise be lost:
@@ -1089,7 +1063,7 @@ class Study:
                 run=cur["label"],
                 phases=snapshot["phases"],
                 counters=snapshot["counters"],
-                histograms=snapshot.get("histograms", {}),
+                histograms=snapshot["histograms"],
                 total=stats.total,
                 cache_hits=stats.cache_hits,
                 evaluated=stats.evaluated,
@@ -1117,11 +1091,9 @@ class Study:
 
     def _attach_test_costs(
         self,
-        workload_name: str,
         result: ExplorationResult,
         objectives: tuple[Objective, ...],
         evaluator: CachedEvaluator,
-        metrics: MetricsCollector | None = None,
     ) -> int:
         """The test-cost post-pass, on the base-objective front only.
 
@@ -1140,7 +1112,8 @@ class Study:
         if not todo:
             return hits
         attach_test_costs(
-            todo, self.spec.march, self.spec.width, metrics=metrics
+            todo, self.spec.march, self.spec.width,
+            metrics=evaluator.metrics,
         )
         for point in todo:
             evaluator._store(point)
@@ -1152,7 +1125,6 @@ class Study:
         objectives: tuple[Objective, ...],
         evaluator: CachedEvaluator,
         tech,
-        metrics: MetricsCollector | None = None,
     ) -> int:
         """The switching-activity post-pass, on the base front only.
 
@@ -1174,7 +1146,7 @@ class Study:
             width=self.spec.width,
             tech=tech,
             context=evaluator.context,
-            metrics=metrics,
+            metrics=evaluator.metrics,
         )
         for point in todo:
             evaluator._store(point)

@@ -5,8 +5,7 @@ A :class:`StudySpec` is the *what* of one exploration: which workloads
 configurations), at which datapath width, under which objective vector,
 driven by which search strategy.  It is frozen and JSON-round-trippable
 so studies can live in version control next to the results they
-produced, exactly like campaign specs — a campaign *is* N studies
-sharing one result cache.
+produced; a campaign is N studies sharing one result cache.
 
 Execution knobs that do not change results (cache directory, progress
 callbacks) stay out of the spec; the parallelism hint ``workers`` is
@@ -104,8 +103,7 @@ class StudySpec:
                 "use workers=1 for the serial path"
             )
         # Fail before the sweep runs, not in the selection afterwards
-        # (extra weights beyond the vector's dimension are ignored, as
-        # in the campaign surface).
+        # (extra weights beyond the vector's dimension are ignored).
         if self.weights is not None and len(self.weights) < len(
             self.objectives
         ):

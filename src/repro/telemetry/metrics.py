@@ -25,13 +25,16 @@ pool workers report: each worker measures into its own collector and
 ships the per-configuration delta home, where the parent merges it on
 wave completion.
 
-Everything is opt-in: instrumented call sites take
-``metrics=None`` (the default) and skip all bookkeeping in that case.
+Everything is opt-in.  Instrumented code records unconditionally and,
+with telemetry off, records into :data:`NULL_METRICS` — a collector
+whose recording methods do nothing — so one code path serves both
+modes.  Call sites that take ``metrics=None`` (the default) use it in
+place of ``None``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
 from typing import Iterator
 
@@ -128,6 +131,30 @@ class MetricsCollector:
                     tuple(hist_snap["bounds"])
                 )
             hist.merge(hist_snap)
+
+
+class _NullCollector(MetricsCollector):
+    """A collector that records nothing; its snapshot is always empty."""
+
+    __slots__ = ()
+
+    def phase(self, name: str):
+        return _NO_PHASE
+
+    def count(self, name: str, n: int = 1) -> None:
+        pass
+
+    def observe(self, name: str, value: float) -> None:
+        pass
+
+    def merge(self, snapshot: dict) -> None:
+        pass
+
+
+_NO_PHASE = nullcontext()
+
+#: The shared telemetry-off collector (stateless, so one serves all).
+NULL_METRICS: MetricsCollector = _NullCollector()
 
 
 def merge_snapshots(snapshots: "list[dict]") -> dict:

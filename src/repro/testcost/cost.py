@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.components.spec import ComponentKind
 from repro.explore.evaluate import EvaluatedPoint, architecture_of
+from repro.telemetry.metrics import NULL_METRICS
 from repro.testcost.backannotate import Backannotation, component_backannotation
 from repro.testcost.transport import transport_latency
 from repro.tta.arch import Architecture
@@ -180,14 +181,12 @@ def attach_test_costs(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
     analytical model as the ``test_cost`` phase and counts annotated
-    points (``test_cost_attached``); ``None`` skips all bookkeeping.
+    points (``test_cost_attached``); ``None`` records nothing.
     """
+    if metrics is None:
+        metrics = NULL_METRICS
     for point in points:
         if not point.feasible:
-            continue
-        if metrics is None:
-            arch = architecture_of(point, width)
-            point.test_cost = architecture_test_cost(arch, march_name).total
             continue
         with metrics.phase("test_cost"):
             arch = architecture_of(point, width)

@@ -1,12 +1,18 @@
 """ATPG substrate tests: faults, fault simulation, PODEM, the engine."""
 
+import json
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg import (
+    ATPGResult,
     Fault,
     FaultSimulator,
     Podem,
@@ -15,6 +21,7 @@ from repro.atpg import (
     enumerate_faults,
     run_atpg,
 )
+from repro.atpg.engine import _cache_load, _cache_store
 from repro.netlist import CellType, Netlist, WordBuilder
 
 
@@ -246,6 +253,54 @@ def test_engine_cache_roundtrip(tmp_path, monkeypatch):
     r2 = run_atpg(nl, use_cache=True)
     assert r1.patterns == r2.patterns
     assert list(tmp_path.glob("*.json"))
+
+
+def test_engine_cache_truncated_entry_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
+    nl = _adder(4)
+    first = run_atpg(nl, use_cache=True)
+    (entry,) = tmp_path.glob("*.json")
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    # a torn entry is a miss: regenerated, then stored whole again
+    assert run_atpg(nl, use_cache=True) == first
+    assert ATPGResult.from_json(json.loads(entry.read_text())) == first
+
+
+def test_engine_cache_store_atomic_under_threads(tmp_path, monkeypatch):
+    """Threads of one process storing one key never expose a torn entry
+    and never leave a temp file behind."""
+    monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
+    result = run_atpg(_adder(4), use_cache=False)
+    deadline = time.monotonic() + 1.0
+    errors: list[BaseException] = []
+
+    def hammer():
+        try:
+            while time.monotonic() < deadline:
+                _cache_store("key", result)
+                if _cache_load("key") != result:
+                    raise AssertionError("reader saw a torn entry")
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=hammer)
+        for _ in range(4 * (os.cpu_count() or 1) + 4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["key.json"]
+    assert _cache_load("key") == result
 
 
 def test_coverage_properties():

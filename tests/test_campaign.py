@@ -1,17 +1,18 @@
-"""Campaign engine: spec round-trip, cache hit/miss/resume, parallelism."""
+"""Campaigns: studies sharing one on-disk result cache.
+
+Registries, config serialization, the cache itself, and the campaign
+behaviours built on it: resume (full, partial, after a crash), serial
+== parallel, cached post-pass axes and selection.
+"""
 
 import json
 
 import pytest
 
 from repro.apps import build_workload, workload_entry, workload_names
-from repro.campaign import (
-    CampaignSpec,
-    ResultCache,
-    cache_key,
-    run_campaign,
-)
+from repro.campaign import ResultCache, cache_key
 from repro.explore import ArchConfig, RFConfig, space_by_name, space_names
+from repro.study import StudySpec, run_study
 
 
 # ----------------------------------------------------------------------
@@ -52,34 +53,6 @@ def test_archconfig_dict_round_trip():
 
 def test_archconfig_from_dict_defaults():
     assert ArchConfig.from_dict({"num_buses": 2}) == ArchConfig(num_buses=2)
-
-
-# ----------------------------------------------------------------------
-# spec
-# ----------------------------------------------------------------------
-def test_spec_json_round_trip():
-    spec = CampaignSpec(
-        name="sweep",
-        workloads=("crypt", "gcd"),
-        spaces=("small", "dsp"),
-        widths=(16, 32),
-        attach_test_costs=True,
-        select=True,
-        weights=(2.0, 1.0, 1.0),
-    )
-    assert CampaignSpec.from_json(spec.to_json()) == spec
-    assert len(spec.jobs) == 2 * 2 * 2
-    assert spec.jobs[0] == ("crypt", "small", 16)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError, match="workload"):
-        CampaignSpec(name="x", workloads=())
-    with pytest.raises(ValueError, match="widths"):
-        CampaignSpec(name="x", workloads=("gcd",), widths=(0,))
-    bad = CampaignSpec(name="x", workloads=("nope",))
-    with pytest.raises(KeyError, match="unknown workload"):
-        bad.validate()
 
 
 # ----------------------------------------------------------------------
@@ -139,50 +112,58 @@ def test_cache_test_cost_tied_to_march(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# runner
+# campaigns: studies sharing one result cache
 # ----------------------------------------------------------------------
 def _spec(**kw):
-    defaults = dict(name="t", workloads=("gcd",), spaces=("small",))
+    defaults = dict(name="t", workloads=("gcd",), space="small")
     defaults.update(kw)
-    return CampaignSpec(**defaults)
+    return StudySpec(**defaults)
 
 
-def test_campaign_matches_one_shot_study():
-    from repro.study import StudySpec, run_study
-
-    campaign = run_campaign(_spec(), cache=None)
-    run = campaign.runs[0]
-    one_shot = run_study(
-        StudySpec(name="one", workloads=("gcd",), space="small")
-    ).single.result
-    assert [p.label for p in run.result.pareto2d] == [
-        p.label for p in one_shot.pareto2d
+def _rows(result):
+    return [
+        (p.label, p.area, p.cycles, p.test_cost)
+        for run in result.runs
+        for p in run.result.points
     ]
-    assert [(p.area, p.cycles) for p in run.result.points] == [
-        (p.area, p.cycles) for p in one_shot.points
-    ]
+
+
+def test_campaign_matches_one_shot_study(tmp_path):
+    """One study per (space, width) on a shared cache equals each
+    cell's uncached one-shot study: the width keeps the cells apart."""
+    cache = ResultCache(tmp_path)
+    for width in (16, 8, 16):
+        campaign = run_study(_spec(width=width), cache=cache)
+        one_shot = run_study(_spec(width=width))
+        assert _rows(campaign) == _rows(one_shot)
+        assert [p.label for p in campaign.pareto] == [
+            p.label for p in one_shot.pareto
+        ]
+    assert len(cache) == 24
 
 
 def test_campaign_cache_resume(tmp_path):
+    cells = [_spec(), _spec(workloads=("dotprod",), space="dsp")]
     cache = ResultCache(tmp_path)
-    first = run_campaign(_spec(), cache=cache)
-    assert first.evaluated == 12 and first.cache_hits == 0
-    second = run_campaign(_spec(), cache=cache)
-    assert second.evaluated == 0 and second.cache_hits == 12
-    assert [p.label for p in second.runs[0].result.pareto2d] == [
-        p.label for p in first.runs[0].result.pareto2d
-    ]
+    first = [run_study(spec, cache=cache) for spec in cells]
+    assert [r.evaluated for r in first] == [12, 12]
+    assert [r.cache_hits for r in first] == [0, 0]
+    second = [run_study(spec, cache=ResultCache(tmp_path)) for spec in cells]
+    assert [r.evaluated for r in second] == [0, 0]
+    assert [r.cache_hits for r in second] == [12, 12]
+    for a, b in zip(first, second):
+        assert [p.label for p in a.pareto] == [p.label for p in b.pareto]
 
 
 def test_campaign_partial_cache_resumes(tmp_path):
     cache = ResultCache(tmp_path)
-    run_campaign(_spec(), cache=cache)
+    run_study(_spec(), cache=cache)
     # drop a third of the entries: an interrupted campaign
     for path in sorted(cache.directory.glob("shards/*/*.json"))[:4]:
         path.unlink()
-    resumed = run_campaign(_spec(), cache=cache)
+    resumed = run_study(_spec(), cache=cache)
     assert resumed.cache_hits == 8 and resumed.evaluated == 4
-    assert len(resumed.runs[0].result.points) == 12
+    assert len(resumed.points) == 12
 
 
 def test_campaign_persists_incrementally(tmp_path):
@@ -203,68 +184,69 @@ def test_campaign_persists_incrementally(tmp_path):
 
     dying = DyingCache(tmp_path, die_after=5)
     with pytest.raises(RuntimeError, match="simulated crash"):
-        run_campaign(_spec(), cache=dying)
+        run_study(_spec(), cache=dying)
     assert len(dying) == 5                  # finished points survived
-    resumed = run_campaign(_spec(), cache=ResultCache(tmp_path))
+    resumed = run_study(_spec(), cache=ResultCache(tmp_path))
     assert resumed.cache_hits == 5 and resumed.evaluated == 7
 
 
-def test_campaign_parallel_equals_serial(tmp_path):
-    serial = run_campaign(_spec(), workers=1, cache=None)
-    parallel = run_campaign(_spec(), workers=2, cache=None)
-    s, p = serial.runs[0].result, parallel.runs[0].result
-    assert [(q.label, q.area, q.cycles) for q in s.points] == [
-        (q.label, q.area, q.cycles) for q in p.points
+def test_campaign_parallel_equals_serial():
+    serial = run_study(_spec(), workers=1)
+    parallel = run_study(_spec(), workers=2)
+    assert _rows(serial) == _rows(parallel)
+    assert [q.label for q in serial.pareto] == [
+        q.label for q in parallel.pareto
     ]
-    assert [q.label for q in s.pareto2d] == [q.label for q in p.pareto2d]
+    assert parallel.single.stats.workers == 2
 
 
 def test_campaign_test_costs_and_selection(tmp_path):
-    spec = _spec(attach_test_costs=True, select=True)
-    campaign = run_campaign(spec, cache=ResultCache(tmp_path))
-    run = campaign.runs[0]
-    assert all(p.test_cost is not None for p in run.result.pareto2d)
-    assert run.result.pareto3d
+    spec = _spec(objectives=("area", "cycles", "test_cost"), select=True)
+    first = run_study(spec, cache=ResultCache(tmp_path))
+    run = first.single
+    assert run.pareto
+    assert all(p.test_cost is not None for p in run.pareto)
     assert run.selection is not None
-    assert run.selection.point in run.result.pareto3d
+    assert run.selection.point in run.pareto
     # cached test costs survive the round trip
-    again = run_campaign(spec, cache=ResultCache(tmp_path))
+    again = run_study(spec, cache=ResultCache(tmp_path))
     assert again.evaluated == 0
-    assert again.runs[0].selection.point.label == run.selection.point.label
+    assert again.single.stats.post_pass_hits > 0
+    assert again.selection.point.label == run.selection.point.label
 
 
 def test_campaign_selection_without_test_costs():
-    campaign = run_campaign(_spec(select=True), cache=None)
-    assert campaign.runs[0].selection is not None
+    assert run_study(_spec(select=True)).selection is not None
 
 
 def test_campaign_infeasible_workload_handled():
     # fir needs a MUL; the small space has none -> nothing feasible
-    campaign = run_campaign(
-        _spec(workloads=("fir",), select=True), cache=None
-    )
-    run = campaign.runs[0]
+    result = run_study(_spec(workloads=("fir",), select=True))
+    run = result.single
     assert not run.result.feasible_points
+    assert run.pareto == []
     assert run.selection is None
-    assert "fir/small/w16" in campaign.summary()
+    assert "fir/small/w16" in result.summary()
+    assert "(no candidate points)" in result.summary()
 
 
 def test_campaign_dsp_space_carries_mul():
-    campaign = run_campaign(
-        _spec(workloads=("dotprod",), spaces=("dsp",)), cache=None
-    )
-    assert campaign.runs[0].result.feasible_points
+    result = run_study(_spec(workloads=("dotprod",), space="dsp"))
+    assert result.single.result.feasible_points
 
 
 def test_campaign_progress_and_lookup():
     lines = []
-    campaign = run_campaign(_spec(), cache=None, progress=lines.append)
+    result = run_study(
+        _spec(workloads=("gcd", "checksum")), progress=lines.append
+    )
     assert any("gcd/small/w16" in line for line in lines)
-    assert campaign.run("gcd/small/w16") is campaign.runs[0]
+    assert any("checksum/small/w16" in line for line in lines)
+    assert result.run("checksum/small/w16") is result.runs[1]
     with pytest.raises(KeyError):
-        campaign.run("nope")
+        result.run("nope")
     with pytest.raises(ValueError, match="workers"):
-        run_campaign(_spec(), workers=0)
+        run_study(_spec(), workers=0)
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +255,7 @@ def test_campaign_progress_and_lookup():
 def test_pareto_properties_memoized():
     from repro.testcost import attach_test_costs
 
-    campaign = run_campaign(_spec(), cache=None)
-    result = campaign.runs[0].result
+    result = run_study(_spec()).single.result
     first = result.pareto2d
     assert result.pareto2d is first
     assert result.pareto3d == []           # no test costs yet

@@ -149,20 +149,11 @@ def test_study_needs_spec_or_workloads(capsys):
         main(["study", "-q"])
 
 
-def test_explore_summary(capsys):
-    code, out, _ = _run(
-        capsys, "explore", "--workload", "gcd", "--space", "small",
-        "--no-cache", "-q",
-    )
-    assert code == 0
-    assert "exploration of gcd" in out
-    assert "Pareto" in out
-
-
 def test_explore_csv_pareto(capsys, tmp_path):
+    """Exploring one workload exhaustively and exporting its front."""
     out_file = tmp_path / "points.csv"
     code, _, _ = _run(
-        capsys, "explore", "--workload", "gcd", "--no-cache", "-q",
+        capsys, "study", "--workloads", "gcd", "--no-cache", "-q",
         "--format", "csv", "--pareto", "-o", str(out_file),
     )
     assert code == 0
@@ -172,56 +163,59 @@ def test_explore_csv_pareto(capsys, tmp_path):
 
 
 def test_explore_unknown_workload_fails(capsys):
-    code, _, err = _run(capsys, "explore", "--workload", "nope", "-q")
+    code, _, err = _run(capsys, "study", "--workloads", "nope", "-q")
     assert code == 1
     assert "unknown workload" in err
 
 
 def test_campaign_flags_and_resume(capsys, tmp_path):
+    """A campaign is one study per (space, width) sharing --cache-dir;
+    a second invocation is served entirely from the cache."""
     cache = tmp_path / "cache"
-    out_dir = tmp_path / "out"
-    argv = (
-        "campaign", "--workloads", "gcd,checksum", "--spaces", "small",
-        "--cache-dir", str(cache), "--out-dir", str(out_dir), "-q",
-    )
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
-    assert "24 evaluated, 0 cache hits" in out
-    assert (out_dir / "spec.json").exists()
-    assert (out_dir / "gcd__small__w16.csv").exists()
+    cells = [("gcd,checksum", "small", "16"), ("gcd", "small", "8")]
 
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
-    assert "0 evaluated, 24 cache hits" in out
+    def sweep():
+        outs = []
+        for workloads, space, width in cells:
+            code, out, _ = _run(
+                capsys, "study", "--workloads", workloads, "--space", space,
+                "--width", width, "--cache-dir", str(cache), "-q",
+            )
+            assert code == 0
+            outs.append(out)
+        return outs
+
+    first = sweep()
+    assert "24 evaluated, 0 cache hits" in first[0]
+    assert "12 evaluated, 0 cache hits" in first[1]
+    second = sweep()
+    assert "0 evaluated, 24 cache hits" in second[0]
+    assert "0 evaluated, 12 cache hits" in second[1]
 
 
 def test_campaign_spec_file(capsys, tmp_path):
-    from repro.campaign import CampaignSpec
+    from repro.study import StudySpec
 
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(
-        CampaignSpec(
-            name="from-file", workloads=("gcd",), spaces=("small",),
-            select=True,
+        StudySpec(
+            name="from-file", workloads=("gcd", "checksum"),
+            space="small", select=True,
         ).to_json()
     )
     code, out, _ = _run(
-        capsys, "campaign", "--spec", str(spec_file), "--no-cache", "-q",
+        capsys, "study", "--spec", str(spec_file), "--no-cache", "-q",
     )
     assert code == 0
-    assert "campaign 'from-file'" in out
+    assert "study 'from-file'" in out and "2 runs" in out
     assert "selected [gcd/small/w16]" in out
-
-
-def test_campaign_needs_spec_or_workloads(capsys):
-    with pytest.raises(SystemExit):
-        main(["campaign", "-q"])
+    assert "selected [checksum/small/w16]" in out
 
 
 def test_report_round_trip(capsys, tmp_path):
     result = tmp_path / "points.json"
     code, _, _ = _run(
-        capsys, "explore", "--workload", "gcd", "--no-cache", "-q",
+        capsys, "study", "--workloads", "gcd", "--no-cache", "-q",
         "--format", "json", "-o", str(result),
     )
     assert code == 0
@@ -245,53 +239,13 @@ def test_report_missing_file(capsys, tmp_path):
 
 def test_explore_profile_flag(capsys):
     code, out, err = _run(
-        capsys, "explore", "--workload", "gcd", "--space", "small",
+        capsys, "study", "--workloads", "gcd", "--space", "small",
         "--no-cache", "-q", "--profile",
     )
     assert code == 0
-    assert "exploration of gcd" in out
+    assert "gcd/small/w16" in out
     # cProfile top-25 cumulative goes to stderr
     assert "cumulative" in err and "ncalls" in err
-
-
-def test_bench_small_suite(capsys, tmp_path):
-    out_file = tmp_path / "bench.json"
-    history = tmp_path / "benchmarks" / "history.jsonl"
-    code, out, _ = _run(
-        capsys, "bench", "--suite", "small", "-o", str(out_file),
-        "--history", str(history),
-    )
-    assert code == 0
-    assert "speedup" in out
-    report = json.loads(out_file.read_text())
-    assert report["sweeps"] and all(
-        s["pareto_identical"] for s in report["sweeps"]
-    )
-    assert "small_speedup" in report
-    # every run appends one trend line: timestamp, commit, speedups
-    lines = history.read_text().splitlines()
-    assert len(lines) == 1
-    entry = json.loads(lines[0])
-    assert entry["timestamp"] == report["generated_at"]
-    assert entry["small_speedup"] == report["small_speedup"]
-    assert set(entry) == {
-        "timestamp", "commit", "small_speedup", "medium_speedup",
-        "python",
-    }
-    # a second run appends, never truncates
-    from repro.bench import append_history
-
-    append_history(report, history)
-    assert len(history.read_text().splitlines()) == 2
-
-
-def test_bench_no_write(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = _run(capsys, "bench", "--suite", "small", "--no-write")
-    assert code == 0
-    assert "pareto filter" in out
-    assert not (tmp_path / "BENCH_evaluate.json").exists()
-    assert not (tmp_path / "benchmarks").exists()
 
 
 def test_study_trace_and_metrics_out(capsys, tmp_path):

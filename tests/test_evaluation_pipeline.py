@@ -1,10 +1,12 @@
 """The fast evaluation pipeline: caches must never change results.
 
-Covers the PR-2 invariants: the sort-based Pareto filter matches the
-naive quadratic oracle on adversarial point sets, memoized register
-allocation produces byte-identical schedules, the feasibility pre-check
-agrees exactly with the compiler, and the worker entry points evaluate
-through the same context as the serial loop.
+Covers the pipeline invariants: the sort-based Pareto filter matches
+the naive quadratic oracle on adversarial point sets, memoized register
+allocation produces byte-identical schedules, the per-type netlist
+statistics behind ``Architecture.area()`` match a from-scratch
+recomputation, the feasibility pre-check agrees exactly with the
+compiler, and the worker entry points evaluate through the same context
+as the serial loop.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.apps.registry import build_workload
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.regalloc import AllocationError
 from repro.compiler.scheduler import ScheduleError, compile_ir
+from repro.components.library import component_datasheet
 from repro.explore import (
     ArchConfig,
     EvaluationContext,
@@ -29,7 +32,9 @@ from repro.explore import (
     required_fu_opcodes,
     small_space,
 )
-from repro.explore.space import dsp_space
+from repro.explore.space import dsp_space, space_by_name
+from repro.netlist.stats import netlist_stats
+from repro.tta.arch import BUS_AREA_PER_BIT, CONNECTION_AREA
 
 
 def _workload_and_profile(name="gcd"):
@@ -113,6 +118,39 @@ def test_context_matches_one_shot_evaluation():
 
 
 # ----------------------------------------------------------------------
+# per-type netlist-stats cache behind Architecture.area()
+# ----------------------------------------------------------------------
+def _reference_area(arch) -> float:
+    """``Architecture.area()`` recomputed without the per-type cache.
+
+    Re-runs :func:`netlist_stats` for every unit, with the same formulas
+    and the same rounding as the cached area model.
+    """
+    component_area = 0.0
+    for unit in arch.units.values():
+        datasheet = component_datasheet(unit.spec)
+        netlist = datasheet.netlist()
+        if netlist is None:                 # RF macro: formula, no netlist
+            core = datasheet.core_area
+        else:
+            core = netlist_stats(netlist).area
+        component_area += round(
+            core + datasheet.register_area + datasheet.socket_area, 3
+        )
+    bus_area = arch.num_buses * arch.width * BUS_AREA_PER_BIT
+    switch_area = arch.num_connections * CONNECTION_AREA
+    return round(component_area + bus_area + switch_area, 3)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("space", ["small", "dsp", "crypt"])
+def test_cached_area_matches_fresh_netlist_stats(space, width):
+    for config in space_by_name(space):
+        arch = build_architecture(config, width)
+        assert arch.area() == _reference_area(arch), config.label()
+
+
+# ----------------------------------------------------------------------
 # feasibility pre-check is exact
 # ----------------------------------------------------------------------
 def _compiles(workload, profile, config, width=16):
@@ -175,6 +213,9 @@ def test_worker_entry_points_share_context_semantics():
     init_evaluation_worker(workload, profile, 16)
     context = EvaluationContext(workload, profile, 16)
     for config in small_space()[:4]:
-        a = evaluate_config_worker(config)
+        a, snapshot = evaluate_config_worker(config)
         b = context.evaluate(config)
         assert (a.label, a.area, a.cycles) == (b.label, b.area, b.cycles)
+        # each call ships its own per-configuration telemetry delta
+        assert snapshot["counters"]["evaluations"] == 1
+        assert snapshot["histograms"]["eval_seconds"]["count"] == 1

@@ -643,11 +643,17 @@ def test_study_progress_lines():
 # the legacy shims are gone (satellite): the names no longer resolve
 # ----------------------------------------------------------------------
 def test_legacy_shims_removed():
+    import inspect
+    import pkgutil
+
     import repro
+    import repro.campaign
     import repro.explore
     import repro.explore.evaluate as evaluate_module
     import repro.explore.explorer as explorer_module
     import repro.explore.iterative as iterative_module
+    import repro.study.engine as engine_module
+    from repro.__main__ import main
 
     # "explore" survives only as the subpackage, never as a callable
     assert "explore" not in repro.__all__
@@ -664,6 +670,32 @@ def test_legacy_shims_removed():
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not callable(getattr(repro.explore, "explore", None))
+
+    # One exploration engine: the campaign runner and its spec, the
+    # compile-only bench and their front doors are gone; the campaign
+    # package is just the result cache.
+    assert [n for n in dir(repro) if "campaign" in n.lower()] == ["campaign"]
+    assert repro.campaign.__all__ == [
+        "CacheStats", "ResultCache", "cache_key", "default_cache_dir",
+    ]
+    def submodules(package):
+        return {m.name for m in pkgutil.iter_modules(package.__path__)}
+
+    assert submodules(repro.campaign) == {"cache"}
+    assert "bench" not in submodules(repro)
+    for command in ("explore", "campaign", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2, command
+
+    # One evaluate body and one pool worker; the cache codec is a plain
+    # import, and the timing validator always runs.
+    for owner in (evaluate_module, evaluate_module.EvaluationContext):
+        assert not [n for n in dir(owner) if "metered" in n], owner
+    assert not [n for n in vars(engine_module) if "codec" in n]
+    assert "validate" not in inspect.signature(
+        evaluate_module.EvaluationContext
+    ).parameters
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.campaign import ResultCache
 from repro.study import StudySpec, run_study
 from repro.telemetry import (
     DEFAULT_BOUNDS,
@@ -401,21 +401,22 @@ class TestTraceContents:
         assert "0 drifted" in text
 
     def test_campaign_trace_spans_all_jobs(self, tmp_path):
+        """One trace covers every run of a two-workload study."""
         path = tmp_path / "campaign.jsonl"
         with Tracer(path) as tracer:
-            run_campaign(
-                CampaignSpec(
-                    name="camp", workloads=("gcd", "crc16"),
-                    spaces=("small",), widths=(16,),
+            run_study(
+                StudySpec(
+                    name="camp", workloads=("gcd", "crc16"), space="small",
                 ),
                 cache=ResultCache(tmp_path / "cache"),
                 tracer=tracer,
             )
         summary = summarize_trace(load_trace(path))
         assert summary["study"] == "camp"
-        assert {r["label"] for r in summary["runs"]} == {
+        assert [r["label"] for r in summary["runs"]] == [
             "gcd/small/w16", "crc16/small/w16",
-        }
+        ]
+        assert all(r["points"] == 12 for r in summary["runs"])
         assert summary["metrics"]["phases"]
 
 
