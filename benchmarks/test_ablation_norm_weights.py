@@ -22,7 +22,7 @@ WEIGHTS = {
 
 
 def test_norm_weight_sweep(benchmark, crypt_exploration):
-    candidates = crypt_exploration.pareto3d
+    candidates = crypt_exploration.pareto
 
     def sweep():
         return {

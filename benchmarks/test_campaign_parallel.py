@@ -2,47 +2,34 @@
 
 Each of the 168 Crypt templates compiles independently, so the study
 engine fans the evaluation out over a process pool.  This bench runs
-both paths on the full grid and asserts they produce point-for-point
-identical results and the same Pareto set.  Wall-clock comparisons
-belong to the study benchmark (``perfbench/``), not here: the artifact
-records only deterministic facts, so re-running rewrites it
-byte-identically.
+the same study serially and on the pool and asserts they produce
+point-for-point identical results and the same Pareto set.  Wall-clock
+comparisons belong to the study benchmark (``perfbench/``), not here:
+the artifact records only deterministic facts, so re-running rewrites
+it byte-identically.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import save_artifact
-from repro.apps.registry import build_workload
-from repro.compiler import IRInterpreter
-from repro.explore import crypt_space, pareto_filter
-from repro.study import evaluate_configs
+from repro.study import StudySpec, run_study
 
 WORKERS = 2
 
 
-def _inputs():
-    workload = build_workload("crypt")
-    profile = IRInterpreter(workload, width=16).run().block_counts
-    return workload, profile, crypt_space()
-
-
 def test_campaign_parallel_evaluation():
-    workload, profile, configs = _inputs()
-    serial = evaluate_configs(configs, workload, profile, workers=1)
-    parallel = evaluate_configs(configs, workload, profile, workers=WORKERS)
+    spec = StudySpec(name="parallel", workloads=("crypt",), space="crypt")
+    serial = run_study(spec, workers=1).single
+    parallel = run_study(spec, workers=WORKERS).single
+    assert parallel.stats.workers == WORKERS
 
     # determinism: the fan-out must be a drop-in for the serial loop
-    assert [(p.label, p.area, p.cycles) for p in serial] == [
-        (p.label, p.area, p.cycles) for p in parallel
+    points = parallel.result.points
+    assert [(p.label, p.area, p.cycles) for p in serial.result.points] == [
+        (p.label, p.area, p.cycles) for p in points
     ]
-    serial_pareto = pareto_filter(
-        [p for p in serial if p.feasible], key=lambda p: p.cost2d()
-    )
-    parallel_pareto = pareto_filter(
-        [p for p in parallel if p.feasible], key=lambda p: p.cost2d()
-    )
-    assert [p.label for p in serial_pareto] == [
-        p.label for p in parallel_pareto
+    assert [p.label for p in serial.pareto] == [
+        p.label for p in parallel.pareto
     ]
 
     save_artifact(
@@ -50,12 +37,12 @@ def test_campaign_parallel_evaluation():
         "\n".join(
             [
                 "parallel evaluation: crypt_space() "
-                f"({len(configs)} points, {WORKERS} workers vs serial)",
-                f"  feasible        : {sum(p.feasible for p in parallel)}",
-                f"  pareto points   : {len(parallel_pareto)} (identical "
+                f"({len(points)} points, {WORKERS} workers vs serial)",
+                f"  feasible        : {sum(p.feasible for p in points)}",
+                f"  pareto points   : {len(parallel.pareto)} (identical "
                 "serial vs parallel)",
                 "  pareto front    : "
-                + ", ".join(p.label for p in parallel_pareto),
+                + ", ".join(p.label for p in parallel.pareto),
             ]
         ),
     )

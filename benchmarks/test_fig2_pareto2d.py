@@ -10,23 +10,21 @@ reproduction target.
 
 from benchmarks.conftest import save_artifact
 from repro.apps.crypt_kernel import build_crypt_ir
-from repro.explore import crypt_space, pareto_filter
-from repro.compiler import IRInterpreter
-from repro.study import evaluate_configs
+from repro.explore import crypt_space
+from repro.study import pareto_front, run_search
 
 
-def _run_exploration():
+def _sweep():
     workload = build_crypt_ir("password", "ab")
-    profile = IRInterpreter(workload, width=16).run().block_counts
-    points = evaluate_configs(crypt_space(), workload, profile)
+    points = run_search(workload, crypt_space()).points
     feasible = [p for p in points if p.feasible]
-    pareto = pareto_filter(feasible, key=lambda p: p.cost2d())
+    pareto = pareto_front(points, ("area", "cycles"))
     return points, feasible, pareto
 
 
 def test_fig2_pareto_2d(benchmark):
     points, feasible, pareto = benchmark.pedantic(
-        _run_exploration, rounds=1, iterations=1
+        _sweep, rounds=1, iterations=1
     )
 
     assert len(points) == len(crypt_space())

@@ -7,13 +7,15 @@ evaluations.
 """
 
 from benchmarks.conftest import save_artifact
-from repro.explore import crypt_space, pareto_filter
-from repro.study.engine import run_search
+from repro.explore import crypt_space
+from repro.study import pareto_front, run_search
 
 
 def test_iterative_vs_exhaustive(benchmark, crypt_exploration):
-    exhaustive = crypt_exploration
-    target = {(p.area, p.cycles) for p in exhaustive.pareto2d}
+    exhaustive = pareto_front(
+        crypt_exploration.result.points, ("area", "cycles")
+    )
+    target = {(p.area, p.cycles) for p in exhaustive}
 
     from repro.apps.crypt_kernel import build_crypt_ir
 
@@ -27,10 +29,7 @@ def test_iterative_vs_exhaustive(benchmark, crypt_exploration):
         iterations=1,
     )
 
-    front = pareto_filter(
-        [p for p in iterative.points if p.feasible],
-        key=lambda p: p.cost2d(),
-    )
+    front = pareto_front(iterative.points, ("area", "cycles"))
     found = {(p.area, p.cycles) for p in front}
     recovered = len(found & target) / len(target)
     assert iterative.evaluations <= 70 < len(crypt_space())

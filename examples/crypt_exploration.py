@@ -19,6 +19,7 @@ from repro import (
     build_table1,
     crypt_space,
     format_table1,
+    pareto_front,
     run_study,
 )
 
@@ -32,11 +33,11 @@ study = run_study(StudySpec(
     strategy="exhaustive",
     select=True,                                # Fig. 9 weighted norm
 ))
-result = study.single.result
-print(result.summary())
+print(study.summary())
 
 print("\nFig. 8 — (area, cycles, test cost) on the Pareto curve:")
-for p in sorted(result.pareto2d, key=lambda q: q.area):
+for p in sorted(pareto_front(study.points, ("area", "cycles")),
+                key=lambda q: q.area):
     print(f"  {p.label:<34} area={p.area:>7.0f} cycles={p.cycles:>8} "
           f"f_t={p.test_cost:>6}")
 

@@ -8,7 +8,7 @@ the frontier with its test costs, all in plain text.
 Run:  python examples/pareto_plot.py
 """
 
-from repro import StudySpec, run_study
+from repro import StudySpec, pareto_front, run_study
 
 WIDTH, HEIGHT = 72, 24
 
@@ -53,7 +53,7 @@ def main():
     ))
     result = study.single.result
     feasible = result.feasible_points
-    pareto = result.pareto2d
+    pareto = pareto_front(result.points, ("area", "cycles"))
     print(f"{len(feasible)} feasible architectures, "
           f"{len(pareto)} on the frontier\n")
     print(ascii_scatter(feasible, pareto))

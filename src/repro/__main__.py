@@ -53,8 +53,7 @@ from pathlib import Path
 from repro.apps.registry import workload_entry, workload_names
 from repro.campaign import ResultCache
 from repro.energy import technology_by_name, technology_names
-from repro.explore.pareto import pareto_filter
-from repro.explore.space import space_by_name, space_names
+from repro.explore.space import ArchConfig, space_by_name, space_names
 from repro.reporting import (
     exploration_from_csv,
     exploration_from_json,
@@ -67,6 +66,7 @@ from repro.study import (
     StudySpec,
     objective_by_name,
     objective_names,
+    pareto_front,
     strategy_by_name,
     strategy_names,
 )
@@ -328,27 +328,27 @@ def cmd_study(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # energy
 # ----------------------------------------------------------------------
-def cmd_energy(args: argparse.Namespace) -> int:
-    import json as _json
+def _config_from_args(args: argparse.Namespace):
+    """The ArchConfig named by ``--config FILE`` or ``--space/--index``."""
+    if args.config:
+        return ArchConfig.from_dict(json.loads(Path(args.config).read_text()))
+    space = space_by_name(args.space)
+    if not 0 <= args.index < len(space):
+        raise ValueError(
+            f"--index {args.index} outside space "
+            f"{args.space!r} (0..{len(space) - 1})"
+        )
+    return space[args.index]
 
+
+def cmd_energy(args: argparse.Namespace) -> int:
     from repro.energy import energy_report, format_energy_report
-    from repro.explore.space import ArchConfig, build_architecture_cached
+    from repro.explore.space import build_architecture_cached
     from repro.study.engine import workload_profile
     from repro.apps.registry import build_workload
     from repro.explore.evaluate import EvaluationContext
 
-    if args.config:
-        config = ArchConfig.from_dict(
-            _json.loads(Path(args.config).read_text())
-        )
-    else:
-        space = space_by_name(args.space)
-        if not 0 <= args.index < len(space):
-            raise ValueError(
-                f"--index {args.index} outside space "
-                f"{args.space!r} (0..{len(space) - 1})"
-            )
-        config = space[args.index]
+    config = _config_from_args(args)
     tech = technology_by_name(args.tech)
     workload = build_workload(args.workload)
     profile = workload_profile(args.workload, args.width)
@@ -412,28 +412,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # rtl (full-core emission + model calibration)
 # ----------------------------------------------------------------------
-def _rtl_config(args: argparse.Namespace):
-    """Resolve an ArchConfig exactly like ``energy`` does."""
-    import json as _json
-
-    from repro.explore.space import ArchConfig
-
-    if args.config:
-        return ArchConfig.from_dict(
-            _json.loads(Path(args.config).read_text())
-        )
-    space = space_by_name(args.space)
-    if not 0 <= args.index < len(space):
-        raise ValueError(
-            f"--index {args.index} outside space "
-            f"{args.space!r} (0..{len(space) - 1})"
-        )
-    return space[args.index]
-
-
 def cmd_rtl(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.apps.registry import build_workload
     from repro.explore.evaluate import EvaluationContext
     from repro.explore.space import build_architecture_cached
@@ -445,7 +424,7 @@ def cmd_rtl(args: argparse.Namespace) -> int:
     )
     from repro.study.engine import workload_profile
 
-    config = _rtl_config(args)
+    config = _config_from_args(args)
 
     if args.rtl_command == "emit":
         arch = build_architecture_cached(config, args.width)
@@ -466,7 +445,7 @@ def cmd_rtl(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"lint: {problem}", file=sys.stderr)
         if args.format == "json":
-            text = _json.dumps(
+            text = json.dumps(
                 {
                     "top": design.top_name,
                     "config": config.label(),
@@ -494,7 +473,7 @@ def cmd_rtl(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
     )
     if args.format == "json":
-        text = _json.dumps(report.to_dict(), indent=2)
+        text = json.dumps(report.to_dict(), indent=2)
     else:
         text = format_calibration_report(report)
     _emit(text, args.output)
@@ -512,8 +491,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         points = exploration_from_json(text)
     if args.pareto:
-        feasible = [p for p in points if p.feasible]
-        points = pareto_filter(feasible, key=lambda p: p.cost2d())
+        points = pareto_front(points, ("area", "cycles"))
     if args.format == "summary":
         rows = exploration_rows(points)
         widths = {k: max(len(k), *(len(str(r[k])) for r in rows))
@@ -562,8 +540,7 @@ def _cache_stats_text(cache: ResultCache) -> str:
             f"({rate:.1%}), {persisted.get('puts', 0)} puts, "
             f"{persisted.get('merged_axes', 0)} merged axes, "
             f"{persisted.get('quarantined', 0)} quarantined, "
-            f"{persisted.get('evictions', 0)} evicted, "
-            f"{persisted.get('migrated', 0)} migrated"
+            f"{persisted.get('evictions', 0)} evicted"
         )
     else:
         lines.append(
@@ -580,8 +557,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     them in place); ``repair`` moves them to ``<dir>/quarantine/`` and
     exits 0 — re-evaluation then replaces them on the next run.
     ``stats`` prints per-shard entry counts and sizes plus the
-    persisted lifetime hit/miss/quarantine counters; it works on both
-    flat and sharded layouts (a flat remainder reports as ``(flat)``).
+    persisted lifetime hit/miss/quarantine counters.
     """
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
@@ -922,26 +898,14 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size; 1 = serial (default)")
-    p.add_argument("--select", action="store_true",
-                   help="pick an architecture with the weighted norm")
-    p.add_argument("--march", default="March C-",
-                   help="march algorithm for RF test costs")
     p.add_argument("--profile", action="store_true",
                    help="dump cProfile top-25 (cumulative) to stderr")
     p.add_argument("-q", "--quiet", action="store_true",
                    help="suppress progress lines on stderr")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Design and test space exploration of TTAs "
-                    "(DATE 2000) — study driver.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("study",
-                       help="run a declarative study (objectives x strategy)")
+def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_study_spec_from_args` reads (study, submit)."""
     p.add_argument("--spec", default=None,
                    help="study spec JSON file (overrides the flags)")
     p.add_argument("--name", default="study")
@@ -959,10 +923,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="strategy parameter (repeatable), e.g. "
                         "--param budget=20 --param seed=1")
+    p.add_argument("--select", action="store_true",
+                   help="pick an architecture with the weighted norm")
+    p.add_argument("--march", default="March C-",
+                   help="march algorithm for RF test costs")
     p.add_argument("--tech", default="default",
                    help="technology parameter set for the energy "
                         "objectives (see: python -m repro list "
                         "--technologies)")
+
+
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_config_from_args` reads (energy, rtl), plus -o."""
+    p.add_argument("--space", default="small",
+                   help=f"configuration grid to pick from "
+                        f"(one of: {', '.join(space_names())})")
+    p.add_argument("--index", type=int, default=0,
+                   help="configuration index within --space (default 0)")
+    p.add_argument("--config", default=None,
+                   help="ArchConfig JSON file (overrides --space/--index)")
+    p.add_argument("--width", type=int, default=16)
+    p.add_argument("-o", "--output", default=None,
+                   help="write to file instead of stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Design and test space exploration of TTAs "
+                    "(DATE 2000) — study driver.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("study",
+                       help="run a declarative study (objectives x strategy)")
+    _add_spec_args(p)
     p.add_argument("--pareto", action="store_true",
                    help="export only the objective-vector Pareto points")
     p.add_argument("--calibrate", action="store_true",
@@ -997,14 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(workload, configuration) pair")
     p.add_argument("workload",
                    help=f"one of: {', '.join(workload_names())}")
-    p.add_argument("--space", default="small",
-                   help=f"configuration grid to pick from "
-                        f"(one of: {', '.join(space_names())})")
-    p.add_argument("--index", type=int, default=0,
-                   help="configuration index within --space (default 0)")
-    p.add_argument("--config", default=None,
-                   help="ArchConfig JSON file (overrides --space/--index)")
-    p.add_argument("--width", type=int, default=16)
+    _add_config_args(p)
     p.add_argument("--tech", default="default",
                    help="technology parameter set "
                         "(see: python -m repro list --technologies)")
@@ -1012,8 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulation cycle budget (default 5M)")
     p.add_argument("--profile", action="store_true",
                    help="dump cProfile top-25 (cumulative) to stderr")
-    p.add_argument("-o", "--output", default=None,
-                   help="write to file instead of stdout")
     _add_telemetry_args(p)
     p.set_defaults(func=cmd_energy)
 
@@ -1032,18 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "embed as the instruction ROM "
                                 "(omit for an external-imem core); "
                                 f"one of: {', '.join(workload_names())}")
-        q.add_argument("--space", default="small",
-                       help=f"configuration grid to pick from "
-                            f"(one of: {', '.join(space_names())})")
-        q.add_argument("--index", type=int, default=0,
-                       help="configuration index within --space "
-                            "(default 0)")
-        q.add_argument("--config", default=None,
-                       help="ArchConfig JSON file (overrides "
-                            "--space/--index)")
-        q.add_argument("--width", type=int, default=16)
-        q.add_argument("-o", "--output", default=None,
-                       help="write to file instead of stdout")
+        _add_config_args(q)
 
     q = rtl_sub.add_parser("emit",
                            help="elaborate one configuration into "
@@ -1143,26 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--watch", action="store_true",
                    help="stay connected; print partial fronts and state "
                         "changes until the job finishes")
-    p.add_argument("--spec", default=None,
-                   help="study spec JSON file (overrides the flags)")
-    p.add_argument("--name", default="study")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated workload names")
-    p.add_argument("--space", default="small",
-                   help=f"one of: {', '.join(space_names())}")
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--objectives", default="area,cycles",
-                   help="comma-separated objective names")
-    p.add_argument("--strategy", default="exhaustive",
-                   help="search strategy")
-    p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                   help="strategy parameter (repeatable)")
-    p.add_argument("--select", action="store_true",
-                   help="pick an architecture with the weighted norm")
-    p.add_argument("--march", default="March C-",
-                   help="march algorithm for RF test costs")
-    p.add_argument("--tech", default="default",
-                   help="technology parameter set")
+    _add_spec_args(p)
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("jobs", help="list a running server's job queue")

@@ -17,8 +17,7 @@ Scaling posture (PR 8):
   :data:`SHARD_WIDTH` hex characters of the entry key — so a
   million-entry cache never puts a million files in one directory, and
   concurrent writers from different studies spread their directory
-  traffic across 256 subtrees; a flat (pre-shard) cache is migrated
-  transparently, entry by entry, as keys are touched;
+  traffic across 256 subtrees;
 * an optional ``max_bytes`` budget turns the cache into an **LRU**:
   hits refresh an entry's mtime and :meth:`ResultCache.compact` evicts
   the least-recently-used entries once the budget is exceeded;
@@ -86,8 +85,7 @@ class CacheStats:
     write that, unmerged, would have dropped another study's work.
     ``bytes_written`` sums the serialised payloads.  ``quarantined``
     counts corrupt entries moved aside by :meth:`ResultCache.get`,
-    ``evictions`` entries removed by the LRU budget, and ``migrated``
-    flat-layout entries relocated into their shard.
+    and ``evictions`` entries removed by the LRU budget.
     """
 
     hits: int = 0
@@ -98,7 +96,6 @@ class CacheStats:
     bytes_written: int = 0
     quarantined: int = 0
     evictions: int = 0
-    migrated: int = 0
 
     @property
     def lookups(self) -> int:
@@ -119,7 +116,6 @@ class CacheStats:
             "bytes_written": self.bytes_written,
             "quarantined": self.quarantined,
             "evictions": self.evictions,
-            "migrated": self.migrated,
         }
 
     def delta(self, since: dict) -> dict:
@@ -269,42 +265,13 @@ class ResultCache:
         """The sharded home of one key (where every write lands)."""
         return self._shard_dir(key) / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """Where a pre-shard cache stored this key."""
-        return self.directory / f"{key}.json"
-
-    def _locate(self, key: str) -> Path:
-        """The entry's current path, migrating a flat entry on touch.
-
-        Migration is a rename into the shard — atomic, content
-        untouched — so opening an old flat cache transparently becomes
-        a sharded one as its keys are used; entries never touched
-        simply stay where they are (every walk covers both layouts).
-        """
-        path = self._path(key)
-        if path.exists():
-            return path
-        flat = self._flat_path(key)
-        if flat.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(flat, path)
-            except OSError:
-                # A concurrent reader migrated (or removed) it first.
-                return path if path.exists() else flat
-            self.stats.migrated += 1
-        return path
-
     def _entry_paths(self) -> Iterator[Path]:
-        """Every entry file, sharded layout first, then flat leftovers."""
+        """Every entry file, shard by shard."""
         shards = self.directory / "shards"
         if shards.is_dir():
             for shard in sorted(shards.iterdir()):
                 if shard.is_dir():
                     yield from sorted(shard.glob("*.json"))
-        for path in sorted(self.directory.glob("*.json")):
-            if path.name != STATS_FILE:
-                yield path
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt entry to ``<dir>/quarantine/``; count it."""
@@ -342,7 +309,7 @@ class ResultCache:
         A well-formed entry from an older schema is a plain miss (stale
         is not corrupt).
         """
-        path = self._locate(cache_key(workload, config, width))
+        path = self._path(cache_key(workload, config, width))
         try:
             text = path.read_text()
         except OSError:
@@ -415,7 +382,7 @@ class ResultCache:
         march: str | None,
         energy_model: str | None,
     ) -> None:
-        path = self._locate(key)
+        path = self._path(key)
         data = encode_entry(workload, point, width, march, energy_model)
         # Merge only when the caller computed exactly one post-pass axis
         # (a test-cost or energy attachment rewriting an existing entry);
@@ -503,8 +470,7 @@ class ResultCache:
         "quarantined"}``.  ``repair=True`` moves each corrupt entry to
         ``<dir>/quarantine/`` (what :meth:`get` would do lazily on its
         next lookup); ``stale`` counts well-formed entries from another
-        schema, which are left in place.  Both shard and flat layouts
-        are swept.
+        schema, which are left in place.
         """
         report: dict = {
             "checked": 0,
@@ -530,29 +496,20 @@ class ResultCache:
         return report
 
     def shard_stats(self) -> dict[str, dict]:
-        """Per-shard entry counts and bytes, ``"(flat)"`` for leftovers.
+        """Per-shard entry counts and bytes.
 
         Walks the directory; shards with no entries are omitted.
         """
         report: dict[str, dict] = {}
-
-        def bucket(name: str, path: Path) -> None:
-            entry = report.setdefault(name, {"entries": 0, "bytes": 0})
+        for path in self._entry_paths():
+            entry = report.setdefault(
+                path.parent.name, {"entries": 0, "bytes": 0}
+            )
             entry["entries"] += 1
             try:
                 entry["bytes"] += path.stat().st_size
             except OSError:
                 pass
-
-        shards = self.directory / "shards"
-        if shards.is_dir():
-            for shard in sorted(shards.iterdir()):
-                if shard.is_dir():
-                    for path in shard.glob("*.json"):
-                        bucket(shard.name, path)
-        for path in self.directory.glob("*.json"):
-            if path.name != STATS_FILE:
-                bucket("(flat)", path)
         return report
 
     def quarantined_entries(self) -> int:
@@ -627,11 +584,7 @@ class ResultCache:
         for path in list(self._entry_paths()):
             path.unlink()
             removed += 1
-        shards = self.directory / "shards"
-        if shards.is_dir():
-            for path in shards.glob("*/*.lock"):
-                path.unlink(missing_ok=True)
-        for path in self.directory.glob("*.lock"):
+        for path in self.directory.glob("shards/*/*.lock"):
             path.unlink(missing_ok=True)
         self._disk_bytes = 0
         return removed

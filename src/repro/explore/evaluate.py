@@ -98,14 +98,6 @@ class EvaluatedPoint:
     def label(self) -> str:
         return self.config.label()
 
-    def cost2d(self) -> tuple[float, float]:
-        assert self.cycles is not None
-        return (self.area, float(self.cycles))
-
-    def cost3d(self) -> tuple[float, float, float]:
-        assert self.cycles is not None and self.test_cost is not None
-        return (self.area, float(self.cycles), float(self.test_cost))
-
 
 class EvaluationContext:
     """Shared-work cache for one sweep of a (workload, profile, width).
@@ -228,10 +220,6 @@ class EvaluationContext:
             )
         finally:
             metrics.observe("eval_seconds", perf_counter() - start)
-
-    def evaluate_space(self, space: list[ArchConfig]) -> list[EvaluatedPoint]:
-        """Evaluate every configuration (feasible or not) in ``space``."""
-        return [self.evaluate(config) for config in space]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Exploration results: the point-set container and its Pareto views.
+"""Exploration results: the point-set container.
 
 :class:`ExplorationResult` holds what one sweep produced — the evaluated
-points plus the workload profile — with memoized Fig. 2 / Fig. 8 Pareto
-views.  The sweep itself is driven by the study engine
-(:mod:`repro.study`): an exhaustive :class:`~repro.study.Study` is the
-whole Sec. 2 + Sec. 3 flow, and the test-cost axis (Fig. 8) is attached
-by :func:`repro.testcost.cost.attach_test_costs` so the exploration
-stays independent of the ATPG layer.  (The pre-study ``explore()``
-one-shot was a deprecation shim over that engine and has been removed.)
+points plus the workload profile.  The sweep itself is driven by the
+study engine (:mod:`repro.study`): an exhaustive :class:`~repro.study.
+Study` is the whole Sec. 2 + Sec. 3 flow.  Fronts are taken with
+:func:`repro.study.objectives.pareto_front` — ``("area", "cycles")`` is
+Fig. 2, ``("area", "cycles", "test_cost")`` is Fig. 8 — and the study
+run's ``pareto`` is the front under its own objective vector.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.explore.evaluate import EvaluatedPoint
-from repro.explore.pareto import pareto_filter
 
 
 @dataclass
@@ -25,70 +23,7 @@ class ExplorationResult:
     workload: str
     profile: dict[str, int]
     points: list[EvaluatedPoint] = field(default_factory=list)
-    _pareto2d: tuple[tuple, list[EvaluatedPoint]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pareto3d: tuple[tuple[int | None, ...], list[EvaluatedPoint]] | None = (
-        field(default=None, init=False, repr=False, compare=False)
-    )
 
     @property
     def feasible_points(self) -> list[EvaluatedPoint]:
         return [p for p in self.points if p.feasible]
-
-    @property
-    def pareto2d(self) -> list[EvaluatedPoint]:
-        """Fig. 2: non-dominated in the (area, execution time) plane.
-
-        Memoized — the filter is O(n^2) and callers treat this as a
-        cheap attribute.  The cache is keyed on a content fingerprint of
-        the public ``points`` list (like ``pareto3d``), so appending,
-        replacing *or mutating* a point — ``attach_test_costs`` rewrites
-        costs in place — recomputes the front instead of serving a stale
-        one.
-        """
-        fingerprint = tuple(
-            (p.label, p.area, p.cycles) for p in self.points
-        )
-        if self._pareto2d is None or self._pareto2d[0] != fingerprint:
-            self._pareto2d = (
-                fingerprint,
-                pareto_filter(self.feasible_points, key=lambda p: p.cost2d()),
-            )
-        return self._pareto2d[1]
-
-    @property
-    def pareto3d(self) -> list[EvaluatedPoint]:
-        """Fig. 8: non-dominated in (area, time, test cost).
-
-        Only valid after test costs were attached; the paper evaluates
-        the test axis *on the 2-D Pareto points*, preserving the already
-        achieved area/throughput ratio — so the base set here is the 2-D
-        Pareto set, not the whole space.
-
-        Memoized against the attached test costs: ``attach_test_costs``
-        mutates points after the first access, so the cache is keyed on
-        the test-cost fingerprint of the 2-D Pareto set.
-        """
-        fingerprint = tuple(p.test_cost for p in self.pareto2d)
-        if self._pareto3d is None or self._pareto3d[0] != fingerprint:
-            candidates = [p for p in self.pareto2d if p.test_cost is not None]
-            self._pareto3d = (
-                fingerprint,
-                pareto_filter(candidates, key=lambda p: p.cost3d()),
-            )
-        return self._pareto3d[1]
-
-    def summary(self) -> str:
-        feasible = self.feasible_points
-        lines = [
-            f"exploration of {self.workload}: {len(self.points)} configs, "
-            f"{len(feasible)} feasible, {len(self.pareto2d)} Pareto-2D",
-        ]
-        for point in sorted(self.pareto2d, key=lambda p: p.area):
-            tc = f" ft={point.test_cost}" if point.test_cost is not None else ""
-            lines.append(
-                f"  {point.label:<28} area={point.area:>9.0f} "
-                f"cycles={point.cycles:>9}{tc}"
-            )
-        return "\n".join(lines)

@@ -10,8 +10,9 @@ choice then genuinely balances the three constraints.
 
 The norm works over *any* objective vector: pass ``key`` (typically
 ``repro.study.objectives.cost_vector`` over a study's objective set) to
-select under an arbitrary axis list; the ``use_test_cost`` switch keeps
-the paper's fixed (area, cycles[, test]) vectors as the default.
+select under an arbitrary axis list, e.g. ``key=lambda p: (p.area,
+p.cycles)`` for the 2-D plane; without it the paper's (area, cycles,
+test) vector is used.
 """
 
 from __future__ import annotations
@@ -33,14 +34,12 @@ class SelectionResult:
 
 def normalize_points(
     points: list[EvaluatedPoint],
-    use_test_cost: bool = True,
     key: Callable[[EvaluatedPoint], Sequence[float]] | None = None,
 ) -> list[tuple[EvaluatedPoint, tuple[float, ...]]]:
     """Min-max normalise each axis over the candidate set.
 
     ``key`` maps a point to its raw cost vector; when omitted, the
-    paper's (area, cycles, test) — or (area, cycles) with
-    ``use_test_cost=False`` — is used.
+    paper's (area, cycles, test) is used.
     """
     if not points:
         raise ValueError("no candidate points")
@@ -50,12 +49,10 @@ def normalize_points(
             raise ValueError(f"infeasible point {p.label} in selection")
         if key is not None:
             vectors.append(tuple(float(x) for x in key(p)))
-        elif use_test_cost:
-            if p.test_cost is None:
-                raise ValueError(f"point {p.label} lacks a test cost")
-            vectors.append((p.area, float(p.cycles), float(p.test_cost)))
+        elif p.test_cost is None:
+            raise ValueError(f"point {p.label} lacks a test cost")
         else:
-            vectors.append((p.area, float(p.cycles)))
+            vectors.append((p.area, float(p.cycles), float(p.test_cost)))
     dims = len(vectors[0])
     if any(len(v) != dims for v in vectors):
         raise ValueError("cost vectors must have equal dimension")
@@ -75,7 +72,6 @@ def select_architecture(
     points: list[EvaluatedPoint],
     weights: tuple[float, ...] = (1.0, 1.0, 1.0),
     order: float = 2.0,
-    use_test_cost: bool = True,
     key: Callable[[EvaluatedPoint], Sequence[float]] | None = None,
 ) -> SelectionResult:
     """Pick the candidate with the smallest weighted p-norm.
@@ -86,7 +82,7 @@ def select_architecture(
     vector (see :func:`normalize_points`); extra weights beyond the
     vector's dimension are ignored.
     """
-    normalized = normalize_points(points, use_test_cost, key=key)
+    normalized = normalize_points(points, key=key)
     dims = len(normalized[0][1])
     if len(weights) < dims:
         raise ValueError(f"need {dims} weights, got {len(weights)}")

@@ -16,7 +16,10 @@ its generalisations):
   fan-out;
 * :class:`Study` / :func:`run_study` — the executor, returning a
   :class:`StudyResult`; a campaign is N studies sharing one result
-  cache.
+  cache;
+* :func:`run_search` — one uncached strategy run on in-memory IR;
+* :func:`pareto_front` — the one way a front is taken, staged the way
+  the paper stages Fig. 8.
 """
 
 from repro.study.engine import (
@@ -25,8 +28,6 @@ from repro.study.engine import (
     Study,
     StudyResult,
     StudyRun,
-    evaluate_configs,
-    run_exploration,
     run_search,
     run_study,
     workload_profile,
@@ -63,14 +64,12 @@ __all__ = [
     "StudyRun",
     "StudySpec",
     "cost_vector",
-    "evaluate_configs",
     "objective_by_name",
     "objective_names",
     "pareto_front",
     "register_objective",
     "register_strategy",
     "resolve_objectives",
-    "run_exploration",
     "run_search",
     "run_strategy",
     "run_study",

@@ -119,12 +119,8 @@ class RunStats:
 # ----------------------------------------------------------------------
 def iter_evaluations(
     configs: list[ArchConfig],
-    workload: IRFunction,
-    profile: dict[str, int],
-    width: int,
+    context: EvaluationContext,
     workers: int,
-    context: EvaluationContext | None = None,
-    metrics: MetricsCollector = NULL_METRICS,
     policy: FaultPolicy | None = None,
     token: CancelToken | None = None,
     on_retry: Callable | None = None,
@@ -133,10 +129,14 @@ def iter_evaluations(
 
     Streaming matters for resumability: the caller persists each point
     as it arrives, so a killed run keeps everything that finished
-    rather than losing the whole sweep.  The pool path submits through
-    the fault-isolated supervisor (:func:`~repro.resilience.isolation.
-    iter_pool_isolated`), whose ordered reassembly buffer yields in
-    submission order no matter how completions interleave.
+    rather than losing the whole sweep.  The serial path evaluates
+    through the caller's sweep ``context`` (batch-per-wave strategies
+    reuse its shared-work caches across batches); the pool path ships
+    the context's (workload, profile, width) to each worker once and
+    submits through the fault-isolated supervisor (:func:`~repro.
+    resilience.isolation.iter_pool_isolated`), whose ordered
+    reassembly buffer yields in submission order no matter how
+    completions interleave.
 
     Under a ``skip``/``retry`` :class:`FaultPolicy` a configuration
     whose evaluation dies yields a :class:`FailedPoint` in its slot
@@ -146,23 +146,15 @@ def iter_evaluations(
     :class:`~repro.resilience.isolation.SweepInterrupted` carrying the
     drained results (pool).
 
-    Pass ``context`` to reuse a caller-held sweep context on the serial
-    path — batch-per-wave strategies would otherwise rebuild the
-    shared-work caches on every batch.
-
-    Telemetry goes to ``metrics``: the serial path evaluates through a
-    context that carries the collector, and on the pool path each
-    configuration's phase/counter delta travels back with its point and
-    is merged here, in submission order, so the merged counters do not
-    depend on pool scheduling.  Outcomes drained into a
-    :class:`~repro.resilience.isolation.SweepInterrupted` are merged
-    and unwrapped the same way.
+    Telemetry goes to the context's collector: the serial path records
+    into it directly, and on the pool path each configuration's
+    phase/counter delta travels back with its point and is merged
+    here, in submission order, so the merged counters do not depend on
+    pool scheduling.  Outcomes drained into a :class:`~repro.
+    resilience.isolation.SweepInterrupted` are merged and unwrapped the
+    same way.
     """
     if workers <= 1 or len(configs) <= 1:
-        if context is None:
-            context = EvaluationContext(
-                workload, profile, width, metrics=metrics
-            )
         for config in configs:
             if token is not None:
                 token.raise_if_cancelled()
@@ -175,7 +167,7 @@ def iter_evaluations(
         if isinstance(outcome, FailedPoint):
             return outcome
         point, snapshot = outcome
-        metrics.merge(snapshot)
+        context.metrics.merge(snapshot)
         return point
 
     try:
@@ -183,7 +175,7 @@ def iter_evaluations(
             configs,
             evaluate_config_worker,
             init_evaluation_worker,
-            (workload, profile, width),
+            (context.workload, context.profile, context.width),
             min(workers, len(configs)),
             policy=policy,
             token=token,
@@ -196,21 +188,6 @@ def iter_evaluations(
             for index, outcome in sorted(exc.completed.items())
         }
         raise
-
-
-def evaluate_configs(
-    configs: list[ArchConfig],
-    workload: IRFunction,
-    profile: dict[str, int],
-    width: int = 16,
-    workers: int = 1,
-) -> list[EvaluatedPoint]:
-    """Evaluate a configuration list, fanning out when ``workers > 1``.
-
-    Order-preserving in both modes, so serial and parallel sweeps
-    produce identical point lists.
-    """
-    return list(iter_evaluations(configs, workload, profile, width, workers))
 
 
 class CachedEvaluator:
@@ -467,12 +444,8 @@ class CachedEvaluator:
         if missing:
             fresh = iter_evaluations(
                 [configs[i] for i in missing],
-                self.workload,
-                self.profile,
-                self.width,
+                self.context,
                 workers,
-                context=self.context if serial else None,
-                metrics=self.metrics,
                 policy=self.policy,
                 token=self.token,
                 on_retry=self._on_retry,
@@ -493,7 +466,7 @@ class CachedEvaluator:
 
 
 # ----------------------------------------------------------------------
-# one-shot search (the layer the legacy shims delegate to)
+# one-shot search on in-memory IR
 # ----------------------------------------------------------------------
 def run_search(
     workload: IRFunction,
@@ -501,20 +474,15 @@ def run_search(
     width: int = 16,
     strategy: str = "exhaustive",
     strategy_params: dict | None = None,
-    profile: dict[str, int] | None = None,
-    initial_regs: dict[str, int] | None = None,
 ) -> SearchOutcome:
     """Run one search strategy on an in-memory workload, uncached.
 
-    The minimal engine entry point: profiles the workload (unless a
-    profile is supplied), wires a serial :class:`CachedEvaluator`
-    without a result cache, and runs the named strategy.  For registered
-    workloads prefer a full :class:`Study` (caching, post-passes,
-    selection).
+    The minimal engine entry point: profiles the workload, wires a
+    serial :class:`CachedEvaluator` without a result cache, and runs
+    the named strategy.  For registered workloads prefer a full
+    :class:`Study` (caching, post-passes, selection).
     """
-    if profile is None:
-        interp = IRInterpreter(workload, width=width)
-        profile = interp.run(initial_regs).block_counts
+    profile = IRInterpreter(workload, width=width).run().block_counts
     configs = list(space)
     evaluator = CachedEvaluator(
         workload.name, workload, profile, width
@@ -528,31 +496,6 @@ def run_search(
         evaluate_many=evaluator.evaluate_many,
     )
     return run_strategy(strategy, job, strategy_params)
-
-
-def run_exploration(
-    workload: IRFunction,
-    space: Iterable[ArchConfig],
-    width: int = 16,
-    strategy: str = "exhaustive",
-    strategy_params: dict | None = None,
-    profile: dict[str, int] | None = None,
-) -> ExplorationResult:
-    """One :func:`run_search` packaged as an :class:`ExplorationResult`.
-
-    The convenience view for in-memory workloads when the caller wants
-    the point-set container (Pareto views, ``summary()``) rather than
-    the raw :class:`~repro.study.strategies.SearchOutcome` accounting.
-    """
-    if profile is None:
-        profile = IRInterpreter(workload, width=width).run().block_counts
-    outcome = run_search(
-        workload, space, width=width, strategy=strategy,
-        strategy_params=strategy_params, profile=profile,
-    )
-    return ExplorationResult(
-        workload=workload.name, profile=profile, points=outcome.points
-    )
 
 
 # ----------------------------------------------------------------------
@@ -762,17 +705,7 @@ class Study:
 
     @classmethod
     def resume(
-        cls,
-        checkpoint: str | Path,
-        cache=None,
-        workers: int | None = None,
-        progress: ProgressFn | None = None,
-        tracer: Tracer | None = None,
-        collect_metrics: bool = False,
-        policy: FaultPolicy | None = None,
-        checkpoint_every: int = 16,
-        cancel: CancelToken | None = None,
-        calibrate_front: bool = False,
+        cls, checkpoint: str | Path, checkpoint_every: int = 16, **kw
     ) -> Study:
         """A study continuing a killed/interrupted run from its file.
 
@@ -781,21 +714,12 @@ class Study:
         and strategies that saved mid-search state (iterative,
         simulated annealing) restore it — including the RNG state — so
         the resumed walk is the uninterrupted walk, not a restart.
+        ``kw`` are :class:`Study`'s execution keywords (``cache``,
+        ``workers``, ``tracer``, ...).
         """
         manager = CheckpointManager.load(checkpoint, every=checkpoint_every)
         spec = StudySpec.from_dict(manager.spec_dict)
-        return cls(
-            spec,
-            cache=cache,
-            workers=workers,
-            progress=progress,
-            tracer=tracer,
-            collect_metrics=collect_metrics,
-            policy=policy,
-            cancel=cancel,
-            manager=manager,
-            calibrate_front=calibrate_front,
-        )
+        return cls(spec, manager=manager, **kw)
 
     def run(self) -> StudyResult:
         """Execute the spec; on interruption return a partial result.
@@ -973,31 +897,9 @@ class Study:
             if self.tracer is not None:
                 self.tracer.event("cache", run=label, **cache_delta)
 
-        snapshot = metrics.snapshot()
-        stats = RunStats(
-            total=len(configs),
-            cache_hits=evaluator.cache_hits,
-            evaluated=evaluator.evaluated,
-            workers=self.workers,
-            elapsed=perf_counter() - started,
-            post_pass_hits=post_pass_hits,
-            phases=snapshot["phases"],
-            counters=snapshot["counters"],
-            histograms=snapshot["histograms"],
+        stats = self._run_stats(
+            label, evaluator, len(configs), started, post_pass_hits
         )
-        if self.tracer is not None:
-            self.tracer.event(
-                "metrics",
-                run=label,
-                phases=snapshot["phases"],
-                counters=snapshot["counters"],
-                histograms=snapshot["histograms"],
-                total=stats.total,
-                cache_hits=stats.cache_hits,
-                evaluated=stats.evaluated,
-                post_pass_hits=stats.post_pass_hits,
-                workers=stats.workers,
-            )
         self.manager.mark_done(label)
         self._current = None
         return StudyRun(
@@ -1043,33 +945,13 @@ class Study:
             workload=cur["workload"], profile=evaluator.profile,
             points=points,
         )
-        snapshot = evaluator.metrics.snapshot()
-        stats = RunStats(
-            total=cur["total"],
-            cache_hits=evaluator.cache_hits,
-            evaluated=evaluator.evaluated,
-            workers=self.workers,
-            elapsed=perf_counter() - cur["started"],
-            phases=snapshot["phases"],
-            counters=snapshot["counters"],
-            histograms=snapshot["histograms"],
+        # The in-progress wave's telemetry would otherwise be lost: the
+        # final snapshot is traced like a finished run's, followed by
+        # the interruption marker, so an interrupted trace summarises.
+        stats = self._run_stats(
+            cur["label"], evaluator, cur["total"], cur["started"]
         )
         if self.tracer is not None:
-            # The in-progress wave's telemetry would otherwise be lost:
-            # emit the final snapshot and the interruption marker so an
-            # interrupted trace still summarises.
-            self.tracer.event(
-                "metrics",
-                run=cur["label"],
-                phases=snapshot["phases"],
-                counters=snapshot["counters"],
-                histograms=snapshot["histograms"],
-                total=stats.total,
-                cache_hits=stats.cache_hits,
-                evaluated=stats.evaluated,
-                post_pass_hits=0,
-                workers=stats.workers,
-            )
             self.tracer.event(
                 "interrupted",
                 run=cur["label"],
@@ -1088,6 +970,42 @@ class Study:
             failures=list(evaluator.failures),
             interrupted=True,
         )
+
+    def _run_stats(
+        self,
+        label: str,
+        evaluator: CachedEvaluator,
+        total: int,
+        started: float,
+        post_pass_hits: int = 0,
+    ) -> RunStats:
+        """One run's :class:`RunStats`, traced as its ``metrics`` event."""
+        snapshot = evaluator.metrics.snapshot()
+        stats = RunStats(
+            total=total,
+            cache_hits=evaluator.cache_hits,
+            evaluated=evaluator.evaluated,
+            workers=self.workers,
+            elapsed=perf_counter() - started,
+            post_pass_hits=post_pass_hits,
+            phases=snapshot["phases"],
+            counters=snapshot["counters"],
+            histograms=snapshot["histograms"],
+        )
+        if self.tracer is not None:
+            self.tracer.event(
+                "metrics",
+                run=label,
+                phases=stats.phases,
+                counters=stats.counters,
+                histograms=stats.histograms,
+                total=stats.total,
+                cache_hits=stats.cache_hits,
+                evaluated=stats.evaluated,
+                post_pass_hits=stats.post_pass_hits,
+                workers=stats.workers,
+            )
+        return stats
 
     def _attach_test_costs(
         self,
@@ -1201,24 +1119,6 @@ class Study:
         return result.feasible_points
 
 
-def run_study(
-    spec: StudySpec,
-    cache=None,
-    workers: int | None = None,
-    progress: ProgressFn | None = None,
-    tracer: Tracer | None = None,
-    collect_metrics: bool = False,
-    policy: FaultPolicy | None = None,
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int = 16,
-    cancel: CancelToken | None = None,
-    calibrate_front: bool = False,
-) -> StudyResult:
-    """Build and run a :class:`Study` in one call."""
-    return Study(
-        spec, cache=cache, workers=workers, progress=progress,
-        tracer=tracer, collect_metrics=collect_metrics,
-        policy=policy, checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every, cancel=cancel,
-        calibrate_front=calibrate_front,
-    ).run()
+def run_study(spec: StudySpec, **kw) -> StudyResult:
+    """Build and run a :class:`Study` in one call (``kw`` as for it)."""
+    return Study(spec, **kw).run()

@@ -30,9 +30,13 @@ from typing import Callable
 
 from repro.compiler.ir import IRFunction
 from repro.explore.evaluate import EvaluatedPoint
-from repro.explore.pareto import pareto_filter
 from repro.explore.space import ArchConfig
 from repro.resilience.checkpoint import rng_state_from_json, rng_state_to_json
+from repro.study.objectives import pareto_front
+
+#: The plane the walking strategies keep their running frontier in
+#: (the paper's Fig. 2 axes).
+_WALK_OBJECTIVES = ("area", "cycles")
 
 
 @dataclass
@@ -248,10 +252,7 @@ def iterative_search(
         for config_dict in state["order"]:
             config = ArchConfig.from_dict(config_dict)
             seen[config.label()] = job.evaluate(config)
-        frontier = pareto_filter(
-            [p for p in seen.values() if p.feasible],
-            key=lambda p: p.cost2d(),
-        )
+        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
         queue = [ArchConfig.from_dict(c) for c in state["queue"]]
         evaluations = int(state["evaluations"])
         iterations = int(state["iterations"])
@@ -274,15 +275,11 @@ def iterative_search(
             batch.append(config)
             batch_labels.add(label)
 
-        expanded: list[EvaluatedPoint] = []
-        for config, point in zip(batch, job.evaluate_many(batch)):
+        expanded = job.evaluate_many(batch)
+        for config, point in zip(batch, expanded):
             seen[config.label()] = point
-            if point.feasible:
-                expanded.append(point)
         evaluations += len(batch)
-        frontier = pareto_filter(
-            frontier + expanded, key=lambda p: p.cost2d()
-        )
+        frontier = pareto_front(frontier + expanded, _WALK_OBJECTIVES)
         history.append(len(frontier))
 
         # Expand only the frontier's unexplored neighbourhoods.  Each
@@ -417,16 +414,10 @@ def simulated_annealing_search(
         proposals = int(state["proposals"])
         accepted = int(state["accepted"])
         history = list(state["history"])
-        frontier: list[EvaluatedPoint] = pareto_filter(
-            [p for p in seen.values() if p.feasible],
-            key=lambda p: p.cost2d(),
-        )
+        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
     else:
         current_cost = cost(evaluate(start))
-        frontier = pareto_filter(
-            [p for p in seen.values() if p.feasible],
-            key=lambda p: p.cost2d(),
-        )
+        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
         history = [len(frontier)]
         steps = 0
         proposals = accepted = 0
@@ -455,11 +446,8 @@ def simulated_annealing_search(
             current_cost = proposal_cost
             accepted += 1
         temp *= cooling
-        if fresh and proposal.feasible:
-            frontier = pareto_filter(
-                frontier + [proposal], key=lambda p: p.cost2d()
-            )
         if fresh:
+            frontier = pareto_front(frontier + [proposal], _WALK_OBJECTIVES)
             history.append(len(frontier))
         if job.save_state is not None:
             job.save_state({

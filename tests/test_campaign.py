@@ -247,19 +247,3 @@ def test_campaign_progress_and_lookup():
         result.run("nope")
     with pytest.raises(ValueError, match="workers"):
         run_study(_spec(), workers=0)
-
-
-# ----------------------------------------------------------------------
-# memoized Pareto properties (satellite)
-# ----------------------------------------------------------------------
-def test_pareto_properties_memoized():
-    from repro.testcost import attach_test_costs
-
-    result = run_study(_spec()).single.result
-    first = result.pareto2d
-    assert result.pareto2d is first
-    assert result.pareto3d == []           # no test costs yet
-    attach_test_costs(result.pareto2d)
-    refreshed = result.pareto3d
-    assert refreshed                        # cache invalidated by attach
-    assert result.pareto3d is refreshed

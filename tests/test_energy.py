@@ -31,7 +31,7 @@ from repro.energy.model import _TECHNOLOGIES
 from repro.energy.report import breakdown_from_trace
 from repro.explore import ArchConfig, RFConfig, build_architecture
 from repro.explore.space import dsp_space, small_space
-from repro.study import StudySpec, objective_by_name, run_study
+from repro.study import StudySpec, objective_by_name, pareto_front, run_study
 from repro.tta.activity import ActivityTrace, hamming
 from repro.tta.arch import Architecture, UnitInstance
 from repro.tta.isa import Instruction, Literal, Move, PortRef, Program
@@ -249,8 +249,8 @@ def test_energy_model_weight_structure():
 # ----------------------------------------------------------------------
 # attach pass + objectives + cache + pool
 # ----------------------------------------------------------------------
-def test_attach_memo_distinguishes_same_named_workloads():
-    """Two IR builds sharing a name must not share memoized energies."""
+def test_attach_energy_simulates_each_same_named_workload():
+    """Two IR builds sharing a name each get their own program's energy."""
     from repro.explore import EvaluationContext
 
     config = small_space()[0]
@@ -402,7 +402,9 @@ def test_energy_front_is_staged():
         )
     )
     run = result.single
-    base_front_labels = {p.label for p in run.result.pareto2d}
+    base_front_labels = {
+        p.label for p in pareto_front(run.result.points, ("cycles", "area"))
+    }
     for p in run.result.points:
         if p.label not in base_front_labels:
             assert p.energy is None

@@ -17,7 +17,7 @@ from repro.explore import (
     small_space,
 )
 from repro.explore.selection import normalize_points
-from repro.study import run_exploration as _sweep
+from repro.study import StudySpec, pareto_front, run_search, run_study
 
 
 # ----------------------------------------------------------------------
@@ -101,18 +101,20 @@ def test_pareto_properties(points):
 # evaluation + explorer
 # ----------------------------------------------------------------------
 def test_explore_gcd_small_space():
-    result = _sweep(build_gcd_ir(252, 105), small_space())
+    result = run_search(build_gcd_ir(252, 105), small_space())
     assert len(result.points) == len(small_space())
-    assert result.feasible_points
-    pareto = result.pareto2d
+    assert any(p.feasible for p in result.points)
+    pareto = pareto_front(result.points, ("area", "cycles"))
     ordered = sorted(pareto, key=lambda p: p.area)
     for a, b in zip(ordered, ordered[1:]):
         assert b.cycles < a.cycles
-    assert "gcd" in result.summary()
 
 
 def test_explore_profile_recorded():
-    result = _sweep(build_gcd_ir(24, 18), small_space()[:2])
+    study = run_study(
+        StudySpec(name="profile", workloads="gcd", space=small_space()[:2])
+    )
+    result = study.single.result
     assert result.profile["entry"] == 1
     assert result.profile["check"] >= 2
 
@@ -176,8 +178,11 @@ def test_select_requires_test_cost():
 
 def test_select_2d_mode():
     pts = _points((10, 100, 1), (100, 10, 1))
-    best = select_architecture(pts, weights=(1.0, 1.0), use_test_cost=False)
+    best = select_architecture(
+        pts, weights=(1.0, 1.0), key=lambda p: (p.area, p.cycles)
+    )
     assert best.point in pts
+    assert len(best.normalized) == 2
 
 
 def test_infeasible_rejected_in_selection():

@@ -2,9 +2,10 @@
 
 from repro.apps import build_gcd_ir
 from repro.apps.crypt_kernel import build_crypt_ir
-from repro.explore import crypt_space, pareto_filter
+from repro.explore import crypt_space
 from repro.explore.iterative import neighbours
 from repro.explore.space import ArchConfig, RFConfig
+from repro.study import pareto_front
 from repro.study.engine import run_search
 
 
@@ -18,8 +19,7 @@ def _iterative(workload, max_evaluations):
 
 
 def _front(points):
-    feasible = [p for p in points if p.feasible]
-    return pareto_filter(feasible, key=lambda p: p.cost2d())
+    return pareto_front(points, ("area", "cycles"))
 
 
 def test_neighbours_single_mutations():

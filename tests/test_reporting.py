@@ -24,7 +24,7 @@ def _points():
     workload = build_gcd_ir(24, 18)
     profile = IRInterpreter(workload, width=16).run().block_counts
     context = EvaluationContext(workload, profile, 16)
-    points = context.evaluate_space(small_space()[:4])
+    points = [context.evaluate(config) for config in small_space()[:4]]
     feasible = [p for p in points if p.feasible]
     attach_test_costs(feasible)
     return feasible

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -310,61 +309,15 @@ class TestShardedCache:
         assert not (tmp_path / f"{key}.json").exists()
         assert len(cache) == 1
 
-    def test_flat_cache_migrates_transparently(self, tmp_path):
+    def test_verify_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        points = [_point(n) for n in (1, 2, 3)]
-        for point in points:
-            cache.put("gcd", point, 16)
-        before = {
-            n: cache.get("gcd", ArchConfig(num_buses=n), 16)
-            for n in (1, 2, 3)
-        }
-        # Rewind to the pre-shard layout: entries at the top level.
-        for path in list(tmp_path.glob("shards/*/*.json")):
-            os.rename(path, tmp_path / path.name)
-        shutil.rmtree(tmp_path / "shards")
-
-        legacy = ResultCache(tmp_path)
-        assert len(legacy) == 3
-        assert legacy.shard_stats() == {
-            "(flat)": {
-                "entries": 3,
-                "bytes": legacy.bytes_on_disk(),
-            }
-        }
-        after = {
-            n: legacy.get("gcd", ArchConfig(num_buses=n), 16)
-            for n in (1, 2, 3)
-        }
-        for n in (1, 2, 3):
-            assert (after[n].area, after[n].cycles) == (
-                before[n].area, before[n].cycles
-            )
-        # same entries, now sharded; nothing left flat
-        assert legacy.stats.migrated == 3
-        assert len(legacy) == 3
-        assert not list(tmp_path.glob("*.json"))
-        assert "(flat)" not in legacy.shard_stats()
-        assert legacy.verify()["ok"] == 3
-
-    def test_verify_and_clear_cover_both_layouts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("gcd", _point(1), 16)
-        (tmp_path / "legacyentry.json").write_text(
-            json.dumps(
-                {
-                    "schema": 2, "workload": "gcd", "width": 16,
-                    "config": ArchConfig(num_buses=2).to_dict(),
-                    "area": 2.0, "cycles": 20, "code_size": None,
-                    "test_cost": None,
-                    "march": None, "energy": None, "energy_model": None,
-                }
-            )
-        )
+        for n in (1, 2):
+            cache.put("gcd", _point(n), 16)
         assert len(cache) == 2
         assert cache.verify()["ok"] == 2
         assert cache.clear() == 2
         assert len(cache) == 0
+        assert not list(tmp_path.glob("shards/*/*.lock"))
 
     def test_stats_file_is_not_an_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -445,16 +398,6 @@ class TestCacheStatsCli:
         assert "3 entries" in out
         assert "shard" in out
         assert "1 hits / 1 lookups" in out
-
-    def test_stats_on_flat_cache(self, tmp_path, capsys):
-        cache = ResultCache(tmp_path)
-        cache.put("gcd", _point(1), 16)
-        for path in list(tmp_path.glob("shards/*/*.json")):
-            os.rename(path, tmp_path / path.name)
-        shutil.rmtree(tmp_path / "shards")
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "(flat)" in out and "1 entries" in out
 
 
 # ----------------------------------------------------------------------

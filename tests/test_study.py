@@ -17,10 +17,10 @@ from repro.explore import (
     EvaluationContext,
     RFConfig,
     dsp_space,
+    pareto_filter,
     select_architecture,
     small_space,
 )
-from repro.explore.explorer import ExplorationResult
 from repro.study import (
     StudySpec,
     cost_vector,
@@ -45,10 +45,13 @@ def _reference_sweep(workload, space, width=16):
     point through one :class:`EvaluationContext`, no strategy layer."""
     profile = IRInterpreter(workload, width=width).run().block_counts
     context = EvaluationContext(workload, profile, width)
-    return ExplorationResult(
-        workload=workload.name,
-        profile=profile,
-        points=context.evaluate_space(list(space)),
+    return [context.evaluate(config) for config in space]
+
+
+def _reference_front(points):
+    """The Fig. 2 front of a point list, straight from pareto_filter."""
+    return pareto_filter(
+        [p for p in points if p.feasible], key=lambda p: (p.area, p.cycles)
     )
 
 
@@ -167,8 +170,8 @@ def test_cost_vector_matches_legacy_tuples():
     )
     two = resolve_objectives(("area", "cycles"))
     three = resolve_objectives(("area", "cycles", "test_cost"))
-    assert cost_vector(point, two) == point.cost2d()
-    assert cost_vector(point, three) == point.cost3d()
+    assert cost_vector(point, two) == (7.5, 40.0)
+    assert cost_vector(point, three) == (7.5, 40.0, 9.0)
 
 
 # ----------------------------------------------------------------------
@@ -360,9 +363,13 @@ def test_study_matches_reference_flow(
     workload_name, space_name, builder, space_builder
 ):
     """Study(exhaustive) == raw sweep + attach_test_costs + select."""
-    legacy = _reference_sweep(builder(), space_builder())
-    attach_test_costs(legacy.pareto2d)
-    legacy_best = select_architecture(legacy.pareto3d)
+    points = _reference_sweep(builder(), space_builder())
+    front2d = _reference_front(points)
+    attach_test_costs(front2d)
+    front3d = pareto_filter(
+        front2d, key=lambda p: (p.area, p.cycles, p.test_cost)
+    )
+    reference_best = select_architecture(front3d)
 
     result = run_study(
         StudySpec(
@@ -375,28 +382,26 @@ def test_study_matches_reference_flow(
     )
     run = result.single
     # same points, in space order
-    assert _fingerprint(run.result.points) == _fingerprint(legacy.points)
+    assert _fingerprint(run.result.points) == _fingerprint(points)
     # same 2-D and full-objective Pareto fronts
-    assert [p.label for p in run.result.pareto2d] == [
-        p.label for p in legacy.pareto2d
-    ]
-    assert [p.label for p in run.pareto] == [
-        p.label for p in legacy.pareto3d
-    ]
+    assert [
+        p.label for p in pareto_front(run.result.points, ("area", "cycles"))
+    ] == [p.label for p in front2d]
+    assert [p.label for p in run.pareto] == [p.label for p in front3d]
     # same selected architecture, same norm
     assert run.selection is not None
-    assert run.selection.point.label == legacy_best.point.label
-    assert run.selection.norm == pytest.approx(legacy_best.norm)
+    assert run.selection.point.label == reference_best.point.label
+    assert run.selection.norm == pytest.approx(reference_best.norm)
 
 
 def test_study_two_objectives_matches_reference_2d():
-    legacy = _reference_sweep(build_gcd_ir(252, 105), small_space())
+    points = _reference_sweep(build_gcd_ir(252, 105), small_space())
     result = run_study(
         StudySpec(name="2d", workloads=("gcd",), space="small")
     )
-    assert _fingerprint(result.points) == _fingerprint(legacy.points)
+    assert _fingerprint(result.points) == _fingerprint(points)
     assert [p.label for p in result.pareto] == [
-        p.label for p in legacy.pareto2d
+        p.label for p in _reference_front(points)
     ]
 
 
@@ -409,8 +414,9 @@ _FULL_SWEEP: dict = {}
 def _full_sweep():
     """The reference gcd/small sweep, computed once per session."""
     if not _FULL_SWEEP:
-        legacy = _reference_sweep(build_gcd_ir(252, 105), small_space())
-        _FULL_SWEEP["points"] = legacy.points
+        _FULL_SWEEP["points"] = _reference_sweep(
+            build_gcd_ir(252, 105), small_space()
+        )
     return _FULL_SWEEP["points"]
 
 
@@ -697,42 +703,33 @@ def test_legacy_shims_removed():
         evaluate_module.EvaluationContext
     ).parameters
 
+    # One front function and one sweep surface: every front goes
+    # through pareto_front, every sweep through Study or run_search.
+    import repro.energy.attach as attach_module
+    import repro.explore.selection as selection_module
+    import repro.study
 
-# ----------------------------------------------------------------------
-# pareto2d memo invalidation (satellite)
-# ----------------------------------------------------------------------
-def _result_with(*costs):
-    points = [
-        EvaluatedPoint(
-            config=ArchConfig(num_buses=1 + i % 4), area=a, cycles=c
-        )
-        for i, (a, c) in enumerate(costs)
-    ]
-    return ExplorationResult(workload="t", profile={}, points=points)
-
-
-def test_pareto2d_invalidates_on_in_place_mutation():
-    result = _result_with((10, 100), (20, 50), (30, 40))
-    assert len(result.pareto2d) == 3
-    # mutate one point in place: same list length, new costs
-    result.points[2].cycles = 10_000
-    assert [p.area for p in result.pareto2d] == [10, 20]
-
-
-def test_pareto2d_invalidates_on_same_length_replacement():
-    result = _result_with((10, 100), (20, 50))
-    assert len(result.pareto2d) == 2
-    result.points[1] = EvaluatedPoint(
-        config=ArchConfig(num_buses=4), area=5.0, cycles=5
-    )
-    front = result.pareto2d
-    assert [p.area for p in front] == [5.0]
-
-
-def test_pareto2d_still_memoized_when_unchanged():
-    result = _result_with((10, 100), (20, 50))
-    first = result.pareto2d
-    assert result.pareto2d is first
+    for module, name in (
+        (repro.study, "run_exploration"),
+        (repro.study, "evaluate_configs"),
+        (engine_module, "run_exploration"),
+        (engine_module, "evaluate_configs"),
+        (explorer_module.ExplorationResult, "pareto2d"),
+        (explorer_module.ExplorationResult, "pareto3d"),
+        (explorer_module.ExplorationResult, "summary"),
+        (evaluate_module.EvaluatedPoint, "cost2d"),
+        (evaluate_module.EvaluatedPoint, "cost3d"),
+        (evaluate_module.EvaluationContext, "evaluate_space"),
+        (attach_module, "_ENERGY_CACHE"),
+        (repro.campaign.ResultCache, "_locate"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "use_test_cost" not in inspect.signature(
+        selection_module.select_architecture
+    ).parameters
+    search_params = inspect.signature(engine_module.run_search).parameters
+    assert "profile" not in search_params
+    assert "initial_regs" not in search_params
 
 
 # ----------------------------------------------------------------------
@@ -750,11 +747,7 @@ def test_select_architecture_with_key():
         weights=(1.0, 1.0),
         key=lambda p: cost_vector(p, objectives),
     )
-    legacy = select_architecture(
-        points, weights=(1.0, 1.0), use_test_cost=False
-    )
-    assert best.point is legacy.point
-    assert best.norm == pytest.approx(legacy.norm)
+    assert best.point is points[1]
     # weights steer custom vectors too
     area_heavy = select_architecture(
         points, weights=(10.0, 1.0),

@@ -242,11 +242,6 @@ class TestResultEquivalence:
 # ----------------------------------------------------------------------
 class TestInvariants:
     def test_phase_seconds_bounded_by_elapsed_serial(self):
-        from repro.energy import attach as energy_attach
-
-        # Earlier tests may have memoized gcd/small energies in this
-        # process; the simulate phase only runs on memo misses.
-        energy_attach._ENERGY_CACHE.clear()
         result = run_study(
             StudySpec(
                 name="timed", workloads=("gcd",), space="small",
