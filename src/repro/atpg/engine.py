@@ -4,7 +4,9 @@
 turns a gate-level netlist into a pattern count ``n_p`` and a fault
 coverage figure.  Results are cached on disk keyed by a structural hash,
 because the exploration flow queries the same component library over and
-over (exactly why the paper pre-characterises its components).
+over (exactly why the paper pre-characterises its components).  The key
+also carries a digest of the ATPG and netlist sources, so a change to the
+algorithm never serves a pattern count the old code produced.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from repro.atpg.faults import Fault, collapse_faults
@@ -81,6 +84,24 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-tta" / "atpg"
 
 
+#: The sources (under ``repro/``) that decide a pattern list: PODEM,
+#: fault collapsing, fault simulation, compaction and gate semantics.
+_ALGORITHM_SOURCES = (
+    "atpg/engine.py", "atpg/faults.py", "atpg/faultsim.py", "atpg/podem.py",
+    "netlist/cells.py", "netlist/netlist.py",
+)
+
+
+@cache
+def algorithm_digest() -> str:
+    """Hash of :data:`_ALGORITHM_SOURCES`, part of every cache key."""
+    package = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for name in _ALGORITHM_SOURCES:
+        h.update(name.encode() + (package / name).read_bytes())
+    return h.hexdigest()[:16]
+
+
 def netlist_signature(netlist: Netlist) -> str:
     """Structural hash covering gates, connectivity and port order."""
     h = hashlib.sha256()
@@ -123,7 +144,7 @@ def run_atpg(
     """
     cache_key = None
     if use_cache:
-        params = f"{seed}:{random_words}:{backtrack_limit}:{compact}:v1"
+        params = f"{seed}:{random_words}:{backtrack_limit}:{compact}:{algorithm_digest()}"
         cache_key = f"{netlist_signature(netlist)}-{hashlib.sha256(params.encode()).hexdigest()[:12]}"
         cached = _cache_load(cache_key)
         if cached is not None:

@@ -7,9 +7,9 @@ The package is the robustness layer under the study engine:
   structured :class:`FailedPoint` record;
 * :mod:`repro.resilience.isolation` — the fault-isolated serial guard
   and pool supervisor behind ``iter_evaluations``;
-* :mod:`repro.resilience.checkpoint` — :class:`CheckpointManager`,
-  :class:`CancelToken`, and the RNG-state codecs that make
-  ``Study.resume`` exact for seeded strategies;
+* :mod:`repro.resilience.checkpoint` — :class:`CheckpointManager`
+  (the recorded points ``Study.resume`` replays every strategy
+  through) and :class:`CancelToken`;
 * :mod:`repro.resilience.faults` — deterministic fault injectors
   (raise / sleep / SIGKILL / truncate-cache-entry) the test suite and
   CI smoke jobs drive the recovery paths with.
@@ -19,8 +19,6 @@ from repro.resilience.checkpoint import (
     CancelToken,
     CheckpointManager,
     StudyInterrupted,
-    rng_state_from_json,
-    rng_state_to_json,
 )
 from repro.resilience.isolation import (
     SweepInterrupted,
@@ -48,7 +46,5 @@ __all__ = [
     "WorkerCrash",
     "call_guarded",
     "iter_pool_isolated",
-    "rng_state_from_json",
-    "rng_state_to_json",
     "traceback_digest",
 ]

@@ -3,10 +3,12 @@
 A checkpoint is one small JSON file that makes a killed study cheap to
 finish: the spec (and its hash, so a resume cannot silently run a
 different study), every evaluated point so far (the same entry shape
-the on-disk result cache uses), every recorded failure, and — for
-strategies that walk rather than enumerate — the strategy's serialised
-mid-search state including the RNG state, so an annealing run resumes
-*mid-walk* instead of restarting its random sequence.
+the on-disk result cache uses) and every recorded failure.  Nothing
+about the search itself is saved: a resume reruns the strategy with the
+recorded points served from the file, and since every strategy is
+deterministic the rerun walks the same path up to the cut without
+re-evaluating anything that finished.  A per-run ``"strategy"`` entry,
+which older files carry, is ignored.
 
 The :class:`CheckpointManager` always exists inside a running
 :class:`~repro.study.engine.Study` (it is also how an interrupted run
@@ -38,8 +40,6 @@ __all__ = [
     "CancelToken",
     "CheckpointManager",
     "StudyInterrupted",
-    "rng_state_from_json",
-    "rng_state_to_json",
     "spec_digest",
 ]
 
@@ -87,31 +87,6 @@ class CancelToken:
             raise StudyInterrupted()
 
 
-# ----------------------------------------------------------------------
-# RNG state <-> JSON
-# ----------------------------------------------------------------------
-def rng_state_to_json(state) -> list:
-    """``random.Random.getstate()`` as a JSON-safe nested list."""
-
-    def safe(value):
-        if isinstance(value, tuple):
-            return [safe(v) for v in value]
-        return value
-
-    return safe(state)
-
-
-def rng_state_from_json(data) -> tuple:
-    """Invert :func:`rng_state_to_json` (lists back to tuples)."""
-
-    def unsafe(value):
-        if isinstance(value, list):
-            return tuple(unsafe(v) for v in value)
-        return value
-
-    return unsafe(data)
-
-
 def spec_digest(spec_dict: dict) -> str:
     """Stable content hash of a spec's dict form.
 
@@ -126,10 +101,9 @@ class CheckpointManager:
     """Accumulate a study's durable state; write it atomically.
 
     Per run label the manager keeps the evaluated points (cache-entry
-    dicts keyed by config label), the failures, the strategy's latest
-    serialised state and a done flag.  ``path=None`` keeps everything
-    in memory — the interrupted-run partial result still works, only
-    resume-after-kill needs the file.
+    dicts keyed by config label), the failures and a done flag.
+    ``path=None`` keeps everything in memory — the interrupted-run
+    partial result still works, only resume-after-kill needs the file.
     """
 
     def __init__(
@@ -154,7 +128,6 @@ class CheckpointManager:
             entry = self.runs[label] = {
                 "points": {},
                 "failures": {},
-                "strategy": None,
                 "done": False,
             }
         return entry
@@ -171,20 +144,9 @@ class CheckpointManager:
         if self._dirty >= self.every:
             self.write()
 
-    def set_strategy_state(self, label: str, state: dict) -> None:
-        self._run(label)["strategy"] = state
-
-    def strategy_state(self, label: str) -> dict | None:
-        entry = self.runs.get(label)
-        return entry["strategy"] if entry else None
-
     def points(self, label: str) -> dict[str, dict]:
         entry = self.runs.get(label)
         return entry["points"] if entry else {}
-
-    def failures(self, label: str) -> dict[str, dict]:
-        entry = self.runs.get(label)
-        return entry["failures"] if entry else {}
 
     def mark_done(self, label: str) -> None:
         self._run(label)["done"] = True

@@ -59,6 +59,9 @@ __all__ = ["ServiceCheckpointManager", "StudyServer"]
 #: but the checkpoint file format wants to know whose state it holds).
 _QUEUE_SPEC = {"service": "study-queue"}
 
+#: Seconds between periodic cache-stats flushes and registry snapshots.
+STATS_EVERY = 30.0
+
 
 class ServiceCheckpointManager(CheckpointManager):
     """A study checkpoint manager that also feeds a point tap.
@@ -130,19 +133,17 @@ class StudyServer:
     ``total_workers`` is the shared evaluation budget every running
     study leases from; ``job_workers`` the per-job default when a
     spec's own ``workers`` hint is 1.  ``cache`` is a shared
-    :class:`~repro.campaign.cache.ResultCache` (or None to run
-    uncached — in-flight dedupe still works through study checkpoints?
-    no: without a cache there is nowhere to coalesce *from*, so dedupe
-    is effectively off).
+    :class:`~repro.campaign.cache.ResultCache`; ``None`` runs every job
+    uncached, which also turns in-flight dedupe off (there is nothing
+    to coalesce *from*).
 
     Operational state lives in :attr:`registry` — a
     :class:`~repro.telemetry.live.LiveRegistry` of queue/worker/cache
     gauges, job lifecycle counters and queue-wait/evaluation-latency
     histograms, served by the ``metrics`` op and (when the CLI starts
-    one) the Prometheus ``/metrics`` exporter.  ``collect_metrics``
-    runs each job's study metered so per-point latency histograms fold
-    in on completion; metering is result-equivalent by design, so this
-    defaults on.
+    one) the Prometheus ``/metrics`` exporter.  Every job's study runs
+    metered, so its per-point latency histograms fold in on
+    completion; metering is result-equivalent by design.
     """
 
     def __init__(
@@ -154,10 +155,7 @@ class StudyServer:
         tenant_max_running: int = 2,
         stream_every: int = 4,
         checkpoint_every: int = 4,
-        stats_every: float = 30.0,
         tracer=None,
-        wait_timeout: float | None = None,
-        collect_metrics: bool = True,
     ) -> None:
         if total_workers < 1:
             raise ValueError("total_workers must be >= 1")
@@ -170,10 +168,7 @@ class StudyServer:
         self.available_workers = total_workers
         self.stream_every = stream_every
         self.checkpoint_every = checkpoint_every
-        self.stats_every = stats_every
         self.tracer = tracer
-        self.wait_timeout = wait_timeout
-        self.collect_metrics = collect_metrics
         #: The live, scrapeable operational metrics (thread-safe; the
         #: ``metrics`` op and the Prometheus exporter both read it).
         self.registry = LiveRegistry()
@@ -459,15 +454,12 @@ class StudyServer:
         manager.on_point = on_point
         cache = self.cache
         if cache is not None:
-            cache = DedupeCache(
-                cache, self.index, job.job_id, token=token,
-                wait_timeout=self.wait_timeout,
-            )
-        # Jobs run metered (opt-out via ``collect_metrics=False``):
-        # the per-run counters and in-worker ``eval_seconds``
-        # histograms fold into the live registry on completion.  When
-        # the server traces, each job traces through a bound view that
-        # stamps its job/tenant ids onto every study-layer record.
+            cache = DedupeCache(cache, self.index, job.job_id, token=token)
+        # Jobs run metered: the per-run counters and in-worker
+        # ``eval_seconds`` histograms fold into the live registry on
+        # completion.  When the server traces, each job traces through
+        # a bound view that stamps its job/tenant ids onto every
+        # study-layer record.
         tracer = (
             self.tracer.bind(job=job.job_id, tenant=job.tenant)
             if self.tracer is not None else None
@@ -479,7 +471,7 @@ class StudyServer:
             manager=manager,
             cancel=token,
             tracer=tracer,
-            collect_metrics=self.collect_metrics,
+            collect_metrics=True,
         )
         return study, token
 
@@ -839,9 +831,7 @@ class StudyServer:
     async def serve_until_stopped(self) -> None:
         """Serve until ``shutdown`` (or :meth:`stop`); drain jobs."""
         stats_task = None
-        if self.stats_every > 0 and (
-            self.cache is not None or self.tracer is not None
-        ):
+        if self.cache is not None or self.tracer is not None:
             stats_task = asyncio.get_running_loop().create_task(
                 self._stats_flusher()
             )
@@ -863,7 +853,7 @@ class StudyServer:
 
     async def _stats_flusher(self) -> None:
         while True:
-            await asyncio.sleep(self.stats_every)
+            await asyncio.sleep(STATS_EVERY)
             if self.cache is not None:
                 try:
                     start = perf_counter()

@@ -488,10 +488,7 @@ def run_search(
         workload.name, workload, profile, width
     )
     job = SearchJob(
-        workload=workload,
-        profile=profile,
         space=configs,
-        width=width,
         evaluate=evaluator.evaluate,
         evaluate_many=evaluator.evaluate_many,
     )
@@ -709,11 +706,12 @@ class Study:
     ) -> Study:
         """A study continuing a killed/interrupted run from its file.
 
-        The checkpoint's spec is rebuilt and hash-verified; every point
-        it recorded becomes an evaluator overlay (a free cache layer),
-        and strategies that saved mid-search state (iterative,
-        simulated annealing) restore it — including the RNG state — so
-        the resumed walk is the uninterrupted walk, not a restart.
+        The checkpoint's spec is rebuilt and hash-verified, and every
+        point it recorded becomes an evaluator overlay (a free cache
+        layer).  The strategy then simply runs again: every walk is
+        deterministic, so it replays the interrupted run's proposals
+        through the overlay, evaluating nothing that finished, and
+        carries on exactly as the uninterrupted run would have.
         ``kw`` are :class:`Study`'s execution keywords (``cache``,
         ``workers``, ``tracer``, ...).
         """
@@ -822,16 +820,9 @@ class Study:
             "evaluator": evaluator,
         }
         job = SearchJob(
-            workload=workload,
-            profile=profile,
             space=configs,
-            width=spec.width,
             evaluate=evaluator.evaluate,
             evaluate_many=evaluator.evaluate_many,
-            save_state=(
-                lambda state: self.manager.set_strategy_state(label, state)
-            ),
-            resume_state=self.manager.strategy_state(label),
         )
         if self.tracer is None:
             outcome = run_strategy(spec.strategy, job, spec.params)

@@ -28,10 +28,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.compiler.ir import IRFunction
 from repro.explore.evaluate import EvaluatedPoint
 from repro.explore.space import ArchConfig
-from repro.resilience.checkpoint import rng_state_from_json, rng_state_to_json
 from repro.study.objectives import pareto_front
 
 #: The plane the walking strategies keep their running frontier in
@@ -46,23 +44,18 @@ class SearchJob:
     ``evaluate`` costs one configuration; ``evaluate_many`` costs an
     ordered batch (and may fan out over a process pool).  Both are
     cache-aware when the engine holds a result cache.
+
+    A strategy is a pure walk over the job: it keeps no state outside
+    its own call, so resuming an interrupted study is simply running
+    it again.  Every point the interrupted run finished comes back
+    from the checkpoint's overlay, unchanged and at no cost, so a
+    deterministic walk (seeded RNG included) draws the same proposals
+    up to the cut and only then starts evaluating.
     """
 
-    workload: IRFunction
-    profile: dict[str, int]
     space: list[ArchConfig]
-    width: int
     evaluate: Callable[[ArchConfig], EvaluatedPoint]
     evaluate_many: Callable[[list[ArchConfig]], list[EvaluatedPoint]]
-    #: Checkpoint hooks (both optional; wired by the engine when the
-    #: study checkpoints).  ``save_state`` receives a JSON-safe dict of
-    #: the strategy's mid-search state after every wave/step;
-    #: ``resume_state`` is the last such dict of an interrupted run.
-    #: Enumerating strategies (exhaustive, random) need neither — their
-    #: walk replays deterministically through the checkpoint's point
-    #: overlay — so only the stateful walks implement them.
-    save_state: Callable[[dict], None] | None = None
-    resume_state: dict | None = None
 
 
 @dataclass
@@ -243,23 +236,6 @@ def iterative_search(
     history: list[int] = []
     proposed = accepted = 0
 
-    if job.resume_state is not None:
-        # Continue an interrupted walk from its last completed wave:
-        # re-evaluating the seen set is free (the engine overlays the
-        # checkpoint's points), and dominance filtering is transitive,
-        # so the rebuilt frontier equals the incremental one.
-        state = job.resume_state
-        for config_dict in state["order"]:
-            config = ArchConfig.from_dict(config_dict)
-            seen[config.label()] = job.evaluate(config)
-        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
-        queue = [ArchConfig.from_dict(c) for c in state["queue"]]
-        evaluations = int(state["evaluations"])
-        iterations = int(state["iterations"])
-        history = list(state["history"])
-        proposed = int(state["proposed"])
-        accepted = int(state["accepted"])
-
     while queue and evaluations < max_evaluations:
         iterations += 1
         # One wave: the queue's unseen configs, deduplicated in order,
@@ -296,17 +272,6 @@ def iterative_search(
                     continue
                 queue.append(neighbour)
                 accepted += 1
-
-        if job.save_state is not None:
-            job.save_state({
-                "order": [p.config.to_dict() for p in seen.values()],
-                "queue": [c.to_dict() for c in queue],
-                "evaluations": evaluations,
-                "iterations": iterations,
-                "history": list(history),
-                "proposed": proposed,
-                "accepted": accepted,
-            })
 
     return SearchOutcome(
         points=list(seen.values()),
@@ -391,36 +356,11 @@ def simulated_annealing_search(
         return point.area / reference[0] + point.cycles / reference[1]
 
     current_config = start
-    if job.resume_state is not None:
-        # Resume the interrupted walk mid-sequence: restore the
-        # normalisation reference *before* replaying the seen set (the
-        # engine's checkpoint overlay makes the replay free), then the
-        # RNG state — the resumed walk draws exactly the proposals the
-        # uninterrupted walk would have drawn.
-        state = job.resume_state
-        reference = (
-            tuple(state["reference"]) if state["reference"] else None
-        )
-        for config_dict in state["order"]:
-            evaluate(ArchConfig.from_dict(config_dict))
-        rng.setstate(rng_state_from_json(state["rng"]))
-        current_config = ArchConfig.from_dict(state["current"])
-        current_cost = (
-            math.inf if state["current_cost"] is None
-            else float(state["current_cost"])
-        )
-        temp = float(state["temp"])
-        steps = int(state["steps"])
-        proposals = int(state["proposals"])
-        accepted = int(state["accepted"])
-        history = list(state["history"])
-        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
-    else:
-        current_cost = cost(evaluate(start))
-        frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
-        history = [len(frontier)]
-        steps = 0
-        proposals = accepted = 0
+    current_cost = cost(evaluate(start))
+    frontier = pareto_front(seen.values(), _WALK_OBJECTIVES)
+    history = [len(frontier)]
+    steps = 0
+    proposals = accepted = 0
     # Each step proposes at most one fresh evaluation; stale proposals
     # (already-seen neighbours) cost a step but no budget, so cap steps
     # to keep a fully-explored neighbourhood from spinning forever.
@@ -449,21 +389,6 @@ def simulated_annealing_search(
         if fresh:
             frontier = pareto_front(frontier + [proposal], _WALK_OBJECTIVES)
             history.append(len(frontier))
-        if job.save_state is not None:
-            job.save_state({
-                "rng": rng_state_to_json(rng.getstate()),
-                "current": current_config.to_dict(),
-                "current_cost": (
-                    None if current_cost == math.inf else current_cost
-                ),
-                "reference": list(reference) if reference else None,
-                "temp": temp,
-                "steps": steps,
-                "proposals": proposals,
-                "accepted": accepted,
-                "order": [p.config.to_dict() for p in seen.values()],
-                "history": list(history),
-            })
 
     return SearchOutcome(
         points=list(seen.values()),

@@ -267,6 +267,20 @@ def test_engine_cache_truncated_entry_is_rewritten(tmp_path, monkeypatch):
     assert ATPGResult.from_json(json.loads(entry.read_text())) == first
 
 
+def test_engine_cache_key_versions_the_algorithm(tmp_path, monkeypatch):
+    """A changed ATPG source digest misses the old entry and writes a
+    second one beside it."""
+    from repro.atpg import engine
+
+    monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
+    nl = _adder(4)
+    first = run_atpg(nl, use_cache=True)
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    monkeypatch.setattr(engine, "algorithm_digest", lambda: "0" * 16)
+    assert run_atpg(nl, use_cache=True) == first
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_engine_cache_store_atomic_under_threads(tmp_path, monkeypatch):
     """Threads of one process storing one key never expose a torn entry
     and never leave a temp file behind."""

@@ -63,6 +63,12 @@ def point_labels(result) -> list[str]:
     return [p.config.label() for p in result.single.result.points]
 
 
+def walk_record(result) -> tuple:
+    """Everything a resume must reproduce besides points and front."""
+    run = result.single
+    return run.iterations, run.frontier_history, run.evaluations
+
+
 # ----------------------------------------------------------------------
 # policy / failure-record units
 # ----------------------------------------------------------------------
@@ -244,6 +250,34 @@ def test_cancel_token_self_trips():
         token.raise_if_cancelled()
 
 
+def assert_resume_equals_uninterrupted(path, spec, cut, workers=1):
+    """Kill ``spec`` after ``cut`` fresh points, resume it, and check
+    the resumed run is the uninterrupted one, evaluated only once."""
+    clean = run_study(spec)
+
+    interrupted = run_study(
+        spec, checkpoint=path, cancel=CancelToken(after_points=cut),
+        workers=workers,
+    )
+    assert interrupted.interrupted
+    assert 0 < len(interrupted.single.result.points) < len(
+        clean.single.result.points
+    ) + 1
+    assert json.loads(path.read_text())["interrupted"]
+
+    resumed = Study.resume(path, workers=workers).run()
+    assert not resumed.interrupted
+    assert point_labels(resumed) == point_labels(clean)
+    assert front_labels(resumed) == front_labels(clean)
+    assert walk_record(resumed) == walk_record(clean)
+    # Nothing recorded before the cut was re-evaluated.
+    stats = resumed.single.stats
+    assert stats.cache_hits >= cut
+    assert stats.evaluated + stats.cache_hits == len(point_labels(clean))
+    # A clean completion clears the flag for the next reader.
+    assert not json.loads(path.read_text())["interrupted"]
+
+
 @pytest.mark.parametrize(
     "strategy, params, cut",
     [
@@ -254,33 +288,67 @@ def test_cancel_token_self_trips():
             (("max_evaluations", 20), ("seed", 7)),
             5,
         ),
+        ("iterative", (("max_evaluations", 10),), 4),
     ],
 )
 def test_kill_and_resume_equals_uninterrupted(tmp_path, strategy, params, cut):
     spec = small_spec(name=f"resume-{strategy}", strategy=strategy,
                       params=params)
-    clean = run_study(spec)
+    assert_resume_equals_uninterrupted(tmp_path / "ck.json", spec, cut)
 
-    path = tmp_path / "ck.json"
-    interrupted = run_study(
-        spec, checkpoint=path, cancel=CancelToken(after_points=cut),
+
+@pytest.mark.parametrize(
+    "strategy, params",
+    [
+        ("simulated_annealing", (("max_evaluations", 20), ("seed", 7))),
+        # iterative's wider waves are the ones that reach the pool
+        ("iterative", (("max_evaluations", 10),)),
+    ],
+)
+def test_kill_and_resume_on_the_pool_equals_uninterrupted(
+    tmp_path, strategy, params
+):
+    spec = small_spec(name=f"resume-pool-{strategy}", strategy=strategy,
+                      params=params)
+    assert_resume_equals_uninterrupted(
+        tmp_path / "ck.json", spec, cut=4, workers=2
     )
-    assert interrupted.interrupted
-    assert 0 < len(interrupted.single.result.points) < len(
-        clean.single.result.points
-    ) + 1
-    assert json.loads(path.read_text())["interrupted"]
+
+
+def test_resume_ignores_legacy_strategy_state(tmp_path):
+    """Checkpoints from before replay-only resume carry each walk's
+    saved locals under ``"strategy"``; a resume must not read them."""
+    spec = small_spec(
+        name="resume-legacy", strategy="simulated_annealing",
+        params=(("max_evaluations", 20), ("seed", 7)),
+    )
+    clean = run_study(spec)
+    path = tmp_path / "ck.json"
+    assert run_study(
+        spec, checkpoint=path, cancel=CancelToken(after_points=3),
+    ).interrupted
+
+    data = json.loads(path.read_text())
+    for run in data["runs"].values():
+        run["strategy"] = {
+            "rng": [3, [0] * 625, None],
+            "current": SMALL[-1].to_dict(),
+            "current_cost": 0.5,
+            "reference": [1.0, 1.0],
+            "temp": 0.01,
+            "steps": 99,
+            "proposals": 99,
+            "accepted": 0,
+            "order": [],
+            "history": [1],
+        }
+    path.write_text(json.dumps(data))
 
     resumed = Study.resume(path).run()
-    assert not resumed.interrupted
     assert point_labels(resumed) == point_labels(clean)
     assert front_labels(resumed) == front_labels(clean)
-    # Nothing recorded before the cut was re-evaluated.
-    stats = resumed.single.stats
-    assert stats.cache_hits >= cut
-    assert stats.evaluated + stats.cache_hits == len(point_labels(clean))
-    # A clean completion clears the flag for the next reader.
-    assert not json.loads(path.read_text())["interrupted"]
+    assert walk_record(resumed) == walk_record(clean)
+    assert resumed.single.stats.cache_hits >= 3
 
 
 def test_resume_rejects_tampered_checkpoint(tmp_path):
@@ -299,11 +367,9 @@ def test_checkpoint_manager_round_trip(tmp_path):
     path = tmp_path / "ck.json"
     manager = CheckpointManager({"name": "x"}, path=path, every=1)
     manager.record_point("run", "cfg-a", {"area": 1.0})
-    manager.set_strategy_state("run", {"temp": 0.5})
     manager.write(force=True)
     loaded = CheckpointManager.load(path)
     assert loaded.points("run") == {"cfg-a": {"area": 1.0}}
-    assert loaded.strategy_state("run") == {"temp": 0.5}
 
 
 # ----------------------------------------------------------------------

@@ -731,6 +731,26 @@ def test_legacy_shims_removed():
     assert "profile" not in search_params
     assert "initial_regs" not in search_params
 
+    # One resume path: strategies replay through the checkpoint overlay,
+    # so no strategy state is saved and the RNG-state codec is gone.
+    import dataclasses
+
+    import repro.resilience
+    from repro.resilience import CheckpointManager
+
+    for module, name in (
+        (repro.resilience, "rng_state_to_json"),
+        (repro.resilience, "rng_state_from_json"),
+        (CheckpointManager, "set_strategy_state"),
+        (CheckpointManager, "strategy_state"),
+        (CheckpointManager, "failures"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    job_fields = {f.name for f in dataclasses.fields(repro.study.SearchJob)}
+    assert not job_fields & {
+        "save_state", "resume_state", "workload", "profile", "width",
+    }
+
 
 # ----------------------------------------------------------------------
 # selection over arbitrary objective vectors
