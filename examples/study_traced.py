@@ -15,9 +15,12 @@ cache equality on vs off), it only records what happened:
 The same instrumentation runs from the shell as:
 
     python -m repro study --workloads gcd --space small \
-        --objectives area,cycles,test_cost \
-        --trace study.jsonl --metrics-out metrics.json
-    python -m repro trace summarize study.jsonl
+        --objectives area,cycles,test_cost --trace study.jsonl
+    python -m repro trace summarize study.jsonl --format json
+
+The trace is the one export: each run's ``metrics`` event carries its
+phase timers, counters and histograms, which ``trace summarize
+--format json`` prints per run and merged across runs.
 
 Run:  python examples/study_traced.py
 """

@@ -21,8 +21,7 @@ The service subcommands run the same engine as a long-lived job server
 * ``serve``    — start the study server on a unix socket or TCP port,
 * ``submit``   — send a study spec to a server (``--watch`` streams
   partial fronts and the job's state transitions),
-* ``jobs``     — list a server's queue (``--stats`` adds cache/queue/
-  dedupe counters),
+* ``jobs``     — list a server's queue,
 * ``results``  — fetch a finished job's result JSON,
 * ``cancel``   — cancel a queued or running job.
 
@@ -34,10 +33,11 @@ codes are structured: 0 clean, 1 usage/runtime error, 3 interrupted
 (partial result), 4 completed but with failed points recorded.
 
 ``study`` and ``energy`` accept ``--profile`` to dump a cProfile
-top-25 (cumulative) of the run to stderr, ``--trace FILE.jsonl``
-(record the structured telemetry stream) and ``--metrics-out
-FILE.json`` (write the phase timers and counters); all are strictly
-opt-in and change no results.
+top-25 (cumulative) of the run to stderr and ``--trace FILE.jsonl`` to
+record the structured telemetry stream, whose per-run ``metrics``
+events carry the phase timers, counters and histograms (``trace
+summarize --format json`` reads them back); both are strictly opt-in
+and change no results.
 
 All tabular output goes through :mod:`repro.reporting`, so files written
 here feed straight back into ``report`` (and any spreadsheet).
@@ -69,6 +69,12 @@ from repro.study import (
     pareto_front,
     strategy_by_name,
     strategy_names,
+)
+from repro.telemetry import (
+    NULL_METRICS,
+    NULL_TRACER,
+    MetricsCollector,
+    Tracer,
 )
 
 
@@ -111,19 +117,13 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _make_tracer(args: argparse.Namespace):
-    """A Tracer on ``--trace FILE.jsonl``, else None."""
-    if not getattr(args, "trace", None):
-        return None
-    from repro.telemetry import Tracer
-
-    return Tracer(args.trace)
-
-
-def _collect_metrics(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "metrics_out", None) or getattr(args, "trace", None)
-    )
+def _make_tracer(
+    args: argparse.Namespace, study: str | None = None
+) -> Tracer:
+    """A Tracer on ``--trace FILE.jsonl``, else :data:`NULL_TRACER`."""
+    if not args.trace:
+        return NULL_TRACER
+    return Tracer(args.trace, study=study)
 
 
 def _make_policy(args: argparse.Namespace):
@@ -159,38 +159,6 @@ def _study_exit_code(result) -> int:
     if result.failures:
         return 4
     return 0
-
-
-def _write_metrics(runs, args: argparse.Namespace) -> None:
-    """``--metrics-out``: per-run phase/counter snapshots as JSON."""
-    if not getattr(args, "metrics_out", None):
-        return
-    from repro.telemetry import merge_snapshots
-
-    payload = {
-        "runs": [
-            {
-                "label": r.label,
-                "total": r.stats.total,
-                "cache_hits": r.stats.cache_hits,
-                "evaluated": r.stats.evaluated,
-                "post_pass_hits": r.stats.post_pass_hits,
-                "workers": r.stats.workers,
-                "elapsed": round(r.stats.elapsed, 4),
-                "phases": r.stats.phases,
-                "counters": r.stats.counters,
-            }
-            for r in runs
-        ],
-        "merged": merge_snapshots(
-            [
-                {"phases": r.stats.phases, "counters": r.stats.counters}
-                for r in runs
-            ]
-        ),
-    }
-    Path(args.metrics_out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.metrics_out}", file=sys.stderr)
 
 
 def _points_text(points, fmt: str) -> str:
@@ -264,7 +232,6 @@ def _run_study(args: argparse.Namespace, spec: StudySpec | None):
         workers=args.workers,
         progress=None if args.quiet else _progress,
         tracer=tracer,
-        collect_metrics=_collect_metrics(args),
         policy=_make_policy(args),
         cancel=_make_cancel(args),
         checkpoint_every=getattr(args, "checkpoint_every", None) or 16,
@@ -281,8 +248,7 @@ def _run_study(args: argparse.Namespace, spec: StudySpec | None):
             )
         return _maybe_profiled(args, study.run)
     finally:
-        if tracer is not None:
-            tracer.close()
+        tracer.close()
 
 
 def cmd_study(args: argparse.Namespace) -> int:
@@ -290,7 +256,6 @@ def cmd_study(args: argparse.Namespace) -> int:
         _study_spec_from_args(args)
     )
     result = _run_study(args, spec)
-    _write_metrics(result.runs, args)
     for failure in result.failures:
         print(f"failed: {failure}", file=sys.stderr)
     if result.interrupted:
@@ -352,16 +317,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
     tech = technology_by_name(args.tech)
     workload = build_workload(args.workload)
     profile = workload_profile(args.workload, args.width)
-    metrics = None
-    if _collect_metrics(args):
-        from repro.telemetry import MetricsCollector
-
-        metrics = MetricsCollector()
-    tracer = _make_tracer(args)
+    metrics = MetricsCollector() if args.trace else NULL_METRICS
+    tracer = _make_tracer(args, study=f"energy:{args.workload}")
     label = f"{args.workload}/{config.label()}/w{args.width}"
     try:
-        if tracer is not None:
-            tracer.study = f"energy:{args.workload}"
         context = EvaluationContext(
             workload, profile, args.width, metrics=metrics
         )
@@ -378,27 +337,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
                 max_cycles=args.max_cycles, metrics=metrics,
             )
 
-        if tracer is None:
+        with tracer.span("run", run=label, config=config.label()):
             breakdown = _maybe_profiled(args, run_report)
-        else:
-            with tracer.span("run", run=label, config=config.label()):
-                breakdown = _maybe_profiled(args, run_report)
-        if metrics is not None:
-            snapshot = metrics.snapshot()
-            if tracer is not None:
-                tracer.event(
-                    "metrics", run=label,
-                    phases=snapshot["phases"],
-                    counters=snapshot["counters"],
-                )
-            if getattr(args, "metrics_out", None):
-                Path(args.metrics_out).write_text(
-                    json.dumps(snapshot, indent=2) + "\n"
-                )
-                print(f"wrote {args.metrics_out}", file=sys.stderr)
+        tracer.event("metrics", run=label, **metrics.snapshot())
     finally:
-        if tracer is not None:
-            tracer.close()
+        tracer.close()
     text = format_energy_report(breakdown)
     text += (
         f"\npoint: area={point.area:.0f} "
@@ -635,8 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if exporter is not None:
             exporter.stop()
-        if tracer is not None:
-            tracer.close()
+        tracer.close()
     return 0
 
 
@@ -711,10 +653,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                 if job.get("error"):
                     line += f"  error: {job['error']}"
                 print(line)
-            if args.stats:
-                stats = client.stats()
-                stats.pop("ok", None)
-                print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
 
     return _service_errors(run)
@@ -868,8 +806,6 @@ def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None, metavar="FILE.jsonl",
                    help="record the structured telemetry stream here "
                         "(see: python -m repro trace summarize)")
-    p.add_argument("--metrics-out", default=None, metavar="FILE.json",
-                   help="write phase timers and counters here")
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -1124,8 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jobs", help="list a running server's job queue")
     p.add_argument("--server", required=True,
                    help="server address (same forms as repro serve)")
-    p.add_argument("--stats", action="store_true",
-                   help="also print queue/worker/dedupe/cache counters")
     p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser("results",

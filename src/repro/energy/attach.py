@@ -22,7 +22,7 @@ from repro.energy.model import TechnologyParameters, technology_by_name
 from repro.energy.report import EnergyBreakdown, energy_report
 from repro.explore.evaluate import EvaluatedPoint, EvaluationContext
 from repro.explore.space import build_architecture_cached
-from repro.telemetry.metrics import NULL_METRICS
+from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
 
 
 def _default_context(
@@ -46,7 +46,7 @@ def energy_breakdown_of(
     tech: TechnologyParameters | None = None,
     context: EvaluationContext | None = None,
     max_cycles: int = 5_000_000,
-    metrics=None,
+    metrics: MetricsCollector = NULL_METRICS,
 ) -> EnergyBreakdown:
     """Full component-level breakdown for one feasible point."""
     if not point.feasible:
@@ -76,7 +76,7 @@ def attach_energy(
     tech: TechnologyParameters | None = None,
     context: EvaluationContext | None = None,
     max_cycles: int = 5_000_000,
-    metrics=None,
+    metrics: MetricsCollector = NULL_METRICS,
 ) -> list[EvaluatedPoint]:
     """Annotate feasible points with switching-activity energy.
 
@@ -86,13 +86,11 @@ def attach_energy(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) counts
     the simulations (``energy_simulated``) and feeds the
-    ``simulate``/``energy_model`` phase timers; ``None`` records
+    ``simulate``/``energy_model`` phase timers; the default records
     nothing.
     """
     if tech is None:
         tech = technology_by_name("default")
-    if metrics is None:
-        metrics = NULL_METRICS
     shared = context or _default_context(workload, width)
     for point in points:
         if not point.feasible or point.energy is not None:

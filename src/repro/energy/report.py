@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.components.spec import ComponentKind
 from repro.energy.model import EnergyModel, TechnologyParameters
-from repro.telemetry.metrics import NULL_METRICS
+from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
 from repro.tta.activity import ActivityTrace
 from repro.tta.arch import Architecture
 from repro.tta.isa import Program
@@ -166,7 +166,7 @@ def energy_report(
     program: Program,
     tech: TechnologyParameters | None = None,
     max_cycles: int = 5_000_000,
-    metrics=None,
+    metrics: MetricsCollector = NULL_METRICS,
 ) -> EnergyBreakdown:
     """Simulate ``program`` with activity tracing and break down energy.
 
@@ -177,14 +177,12 @@ def energy_report(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
     activity-traced simulation as the ``simulate`` phase and the model
-    fold as ``energy_model``; ``None`` records nothing.
+    fold as ``energy_model``; the default records nothing.
     """
     from repro.energy.model import technology_by_name
 
     if tech is None:
         tech = technology_by_name("default")
-    if metrics is None:
-        metrics = NULL_METRICS
     sim = TTASimulator(arch, program, activity=True)
     with metrics.phase("simulate"):
         result = sim.run(max_cycles=max_cycles)

@@ -113,16 +113,16 @@ class EvaluationContext:
         workload: IRFunction,
         profile: dict[str, int],
         width: int = 16,
-        metrics: MetricsCollector | None = None,
+        metrics: MetricsCollector = NULL_METRICS,
     ) -> None:
         workload.validate()                 # once per sweep, not per config
         self.workload = workload
         self.profile = dict(profile)
         self.width = width
-        #: Phase-timer/counter sink; ``None`` means :data:`NULL_METRICS`,
-        #: which records nothing.  The pool worker swaps a fresh
-        #: collector in per call to ship per-configuration deltas.
-        self.metrics = NULL_METRICS if metrics is None else metrics
+        #: Phase-timer/counter sink; the default :data:`NULL_METRICS`
+        #: records nothing.  The pool worker swaps a fresh collector in
+        #: per call to ship per-configuration deltas.
+        self.metrics = metrics
         self.required_ops = required_fu_opcodes(workload)
         # RF arrangement -> (rewritten IR, allocation), or the message
         # of the AllocationError the arrangement raises (stored as a

@@ -119,9 +119,6 @@ class ServiceClient:
     def cancel(self, job_id: str) -> dict:
         return self.request("cancel", job=job_id)
 
-    def stats(self) -> dict:
-        return self.request("stats")
-
     def metrics(self, tenant: str | None = None) -> dict:
         """The server's live metrics: registry snapshot, per-tenant
         and global aggregates with histogram quantiles."""

@@ -37,9 +37,11 @@ class InflightIndex:
 
     Thread-safe: jobs run in worker threads and hit the index
     concurrently.  Counters (``claims``, ``coalesced``,
-    ``wait_timeouts``) feed the ``stats`` op and the service-smoke
-    assertions — ``coalesced`` is exactly the number of evaluations the
-    index saved.
+    ``wait_timeouts``) are read through :meth:`as_dict`; the server
+    publishes ``claims`` and ``coalesced`` as the ``metrics`` op's
+    ``dedupe_claims``/``dedupe_coalesced`` gauges, which the
+    service-smoke assertions read — ``coalesced`` is exactly the number
+    of evaluations the index saved.
     """
 
     def __init__(self) -> None:

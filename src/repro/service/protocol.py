@@ -44,7 +44,6 @@ OPS = (
     "watch",       # {"job"} -> stream job_state/front events until done
     "result",      # {"job"} -> the finished study's result dict
     "cancel",      # {"job"} -> cancel queued or running job
-    "stats",       # cache + queue + dedupe counters
     "metrics",     # {"tenant"?} -> live registry snapshot + aggregates
     "shutdown",    # graceful stop (drains running jobs)
 )

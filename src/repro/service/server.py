@@ -52,6 +52,7 @@ from repro.study.engine import Study
 from repro.study.objectives import pareto_front, resolve_objectives
 from repro.study.spec import StudySpec
 from repro.telemetry.live import LiveRegistry, aggregate_series
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["ServiceCheckpointManager", "StudyServer"]
 
@@ -155,7 +156,7 @@ class StudyServer:
         tenant_max_running: int = 2,
         stream_every: int = 4,
         checkpoint_every: int = 4,
-        tracer=None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if total_workers < 1:
             raise ValueError("total_workers must be >= 1")
@@ -214,10 +215,6 @@ class StudyServer:
     # ------------------------------------------------------------------
     # telemetry + watcher fan-out
     # ------------------------------------------------------------------
-    def _trace_event(self, name: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.event(name, **data)
-
     def _notify(self, job_id: str, frame: dict) -> None:
         for queue in self._watchers.get(job_id, ()):  # loop thread only
             queue.put_nowait(frame)
@@ -247,7 +244,7 @@ class StudyServer:
         else:
             job.state = state
         self._persist_queue()
-        self._trace_event(
+        self.tracer.event(
             "job_state", run=job.job_id, job=job.job_id,
             tenant=job.tenant, state=job.state, error=error,
         )
@@ -364,8 +361,6 @@ class StudyServer:
 
     def _snapshot_to_trace(self, job=None) -> None:
         """Emit one ``metric_snapshot`` trace record of the registry."""
-        if self.tracer is None:
-            return
         self.tracer.metric_snapshot(
             "registry",
             self.registry.snapshot(),
@@ -399,7 +394,7 @@ class StudyServer:
                 )
             self._persist_queue()
             self._refresh_gauges()
-            self._trace_event(
+            self.tracer.event(
                 "queue", run=job.job_id, job=job.job_id,
                 tenant=job.tenant, action="start", lease=lease,
                 available=self.available_workers,
@@ -457,20 +452,15 @@ class StudyServer:
             cache = DedupeCache(cache, self.index, job.job_id, token=token)
         # Jobs run metered: the per-run counters and in-worker
         # ``eval_seconds`` histograms fold into the live registry on
-        # completion.  When the server traces, each job traces through
-        # a bound view that stamps its job/tenant ids onto every
-        # study-layer record.
-        tracer = (
-            self.tracer.bind(job=job.job_id, tenant=job.tenant)
-            if self.tracer is not None else None
-        )
+        # completion.  Each job traces through a bound view that stamps
+        # its job/tenant ids onto every study-layer record.
         study = Study(
             spec,
             cache=cache,
             workers=lease,
             manager=manager,
             cancel=token,
-            tracer=tracer,
+            tracer=self.tracer.bind(job=job.job_id, tenant=job.tenant),
             collect_metrics=True,
         )
         return study, token
@@ -516,22 +506,12 @@ class StudyServer:
             self._tasks.pop(job_id, None)
             self._tokens.pop(job_id, None)
             released = self.index.release_owner(job_id)
-            self._trace_event(
+            self.tracer.event(
                 "queue", run=job_id, job=job_id, tenant=job.tenant,
                 action="finish", available=self.available_workers,
                 claims_released=released,
             )
-            if self.cache is not None:
-                try:
-                    start = perf_counter()
-                    self.cache.persist_stats()
-                    self.registry.observe(
-                        "flush_seconds", perf_counter() - start,
-                        help="cache stats flush durations",
-                        kind="cache_stats",
-                    )
-                except OSError:
-                    pass
+            self._flush_cache_stats()
             self._refresh_gauges()
             self._snapshot_to_trace(job)
             self._schedule()
@@ -600,8 +580,6 @@ class StudyServer:
             return self._op_cancel(frame)
         if op == "watch":
             return await self._op_watch(frame, writer)
-        if op == "stats":
-            return self._op_stats()
         if op == "metrics":
             return self._op_metrics(frame)
         if op == "shutdown":
@@ -630,7 +608,7 @@ class StudyServer:
             )
         self._persist_queue()
         self._refresh_gauges()
-        self._trace_event(
+        self.tracer.event(
             "queue", run=job.job_id, job=job.job_id, tenant=tenant,
             action="submit", deduped=deduped, priority=priority,
         )
@@ -660,7 +638,7 @@ class StudyServer:
             token = self._tokens.get(job.job_id)
             if token is not None:
                 token.cancel()
-            self._trace_event(
+            self.tracer.event(
                 "queue", run=job.job_id, job=job.job_id,
                 tenant=job.tenant, action="cancel",
             )
@@ -766,33 +744,6 @@ class StudyServer:
             }
         )
 
-    def _op_stats(self) -> dict:
-        by_state: dict[str, int] = {}
-        for job in self.queue.jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
-        cache_stats = None
-        if self.cache is not None:
-            stats = getattr(self.cache, "stats", None)
-            cache_stats = {
-                "counters": stats.as_dict() if stats else None,
-                "persisted": self.cache.persisted_stats(),
-                "entries": len(self.cache),
-                "bytes": self.cache.bytes_on_disk(),
-                "shards": len(self.cache.shard_stats()),
-            }
-        return protocol.ok(
-            queue={
-                "jobs": by_state,
-                "tenant_max_running": self.queue.tenant_max_running,
-            },
-            workers={
-                "total": self.total_workers,
-                "available": self.available_workers,
-            },
-            dedupe=self.index.as_dict(),
-            cache=cache_stats,
-        )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -830,11 +781,9 @@ class StudyServer:
 
     async def serve_until_stopped(self) -> None:
         """Serve until ``shutdown`` (or :meth:`stop`); drain jobs."""
-        stats_task = None
-        if self.cache is not None or self.tracer is not None:
-            stats_task = asyncio.get_running_loop().create_task(
-                self._stats_flusher()
-            )
+        stats_task = asyncio.get_running_loop().create_task(
+            self._stats_flusher()
+        )
         await self._stopping.wait()
         if self._server is not None:
             self._server.close()
@@ -843,30 +792,30 @@ class StudyServer:
             await asyncio.gather(
                 *list(self._tasks.values()), return_exceptions=True
             )
-        if stats_task is not None:
-            stats_task.cancel()
-        if self.cache is not None:
-            try:
-                self.cache.persist_stats()
-            except OSError:
-                pass
+        stats_task.cancel()
+        self._flush_cache_stats()
 
     async def _stats_flusher(self) -> None:
         while True:
             await asyncio.sleep(STATS_EVERY)
-            if self.cache is not None:
-                try:
-                    start = perf_counter()
-                    self.cache.persist_stats()
-                    self.registry.observe(
-                        "flush_seconds", perf_counter() - start,
-                        help="cache stats flush durations",
-                        kind="cache_stats",
-                    )
-                except OSError:
-                    pass
+            self._flush_cache_stats()
             self._refresh_gauges(disk=True)
             self._snapshot_to_trace()
+
+    def _flush_cache_stats(self) -> None:
+        """Persist the shared cache's lifetime counters, timed."""
+        if self.cache is None:
+            return
+        try:
+            start = perf_counter()
+            self.cache.persist_stats()
+            self.registry.observe(
+                "flush_seconds", perf_counter() - start,
+                help="cache stats flush durations",
+                kind="cache_stats",
+            )
+        except OSError:
+            pass
 
     def stop(self) -> None:
         """Request a graceful stop; safe from any thread.

@@ -62,7 +62,7 @@ from repro.telemetry.metrics import (
     MetricsCollector,
     format_phases,
 )
-from repro.telemetry.tracer import Tracer
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.testcost.cost import attach_test_costs
 
 ProgressFn = Callable[[str], None]
@@ -200,13 +200,13 @@ class CachedEvaluator:
     over a process pool when ``workers > 1``.  Counts hits and fresh
     evaluations for the run statistics.
 
-    With telemetry attached (both default off): ``metrics`` collects
-    phase timers (through the context and the pool workers' deltas)
-    plus the ``proposed``/``cache_hits``/``evaluated`` counters —
-    ``proposed == cache_hits + evaluated`` always, every requested
-    configuration is exactly one of the two — and ``tracer`` records
-    one ``wave`` event per batch and one ``point`` event per
-    configuration (the evaluation stream).
+    Telemetry (both default to their null objects, which record
+    nothing): ``metrics`` collects phase timers (through the context
+    and the pool workers' deltas) plus the ``proposed``/``cache_hits``/
+    ``evaluated`` counters — ``proposed == cache_hits + evaluated``
+    always, every requested configuration is exactly one of the two —
+    and ``tracer`` records one ``wave`` event per batch and one
+    ``point`` event per configuration (the evaluation stream).
     """
 
     def __init__(
@@ -222,7 +222,7 @@ class CachedEvaluator:
         progress: ProgressFn | None = None,
         label: str | None = None,
         metrics: MetricsCollector = NULL_METRICS,
-        tracer: Tracer | None = None,
+        tracer: Tracer = NULL_TRACER,
         policy: FaultPolicy | None = None,
         token: CancelToken | None = None,
         manager: CheckpointManager | None = None,
@@ -321,14 +321,13 @@ class CachedEvaluator:
     def _on_retry(self, config, attempt: int, exc: BaseException) -> None:
         """Between-attempt hook: count and trace the retry."""
         self.metrics.count("points_retried")
-        if self.tracer is not None:
-            self.tracer.event(
-                "retry",
-                run=self.label,
-                config=config.label(),
-                attempt=attempt,
-                error=type(exc).__name__,
-            )
+        self.tracer.event(
+            "retry",
+            run=self.label,
+            config=config.label(),
+            attempt=attempt,
+            error=type(exc).__name__,
+        )
 
     def _accept(
         self, outcome: EvaluatedPoint | FailedPoint, wave: int | None = None
@@ -343,17 +342,16 @@ class CachedEvaluator:
         if isinstance(outcome, FailedPoint):
             self.failures.append(outcome)
             self.metrics.count("points_failed")
-            if self.tracer is not None:
-                self.tracer.event(
-                    "failure",
-                    run=self.label,
-                    wave=wave,
-                    config=outcome.label,
-                    error=outcome.error_type,
-                    message=outcome.message,
-                    digest=outcome.digest,
-                    attempts=outcome.attempts,
-                )
+            self.tracer.event(
+                "failure",
+                run=self.label,
+                wave=wave,
+                config=outcome.label,
+                error=outcome.error_type,
+                message=outcome.message,
+                digest=outcome.digest,
+                attempts=outcome.attempts,
+            )
             if self.manager is not None:
                 self.manager.record_failure(self.label, outcome)
             point = EvaluatedPoint(
@@ -364,8 +362,7 @@ class CachedEvaluator:
             )
         else:
             point = outcome
-            if self.tracer is not None:
-                self._trace_point(point, "fresh", wave)
+            self._trace_point(point, "fresh", wave)
             self._store(point)
         self.evaluated += 1
         if self.token is not None:
@@ -381,8 +378,7 @@ class CachedEvaluator:
         if cached is not None:
             self.cache_hits += 1
             self.metrics.count("cache_hits")
-            if self.tracer is not None:
-                self._trace_point(cached, "cache")
+            self._trace_point(cached, "cache")
             self._remember(cached)
             return cached
         self.metrics.count("evaluated")
@@ -425,21 +421,18 @@ class CachedEvaluator:
                 f"evaluating {len(missing)} of {len(configs)} points "
                 f"({workers} worker{'s' if workers != 1 else ''})"
             )
-        if self.tracer is not None:
-            self.tracer.event(
-                "wave",
-                run=self.label,
-                wave=wave,
-                requested=len(configs),
-                cached=len(configs) - len(missing),
-                fresh=len(missing),
-                workers=workers,
-            )
-            for point in points:
-                if point is not None:
-                    self._trace_point(point, "cache", wave)
+        self.tracer.event(
+            "wave",
+            run=self.label,
+            wave=wave,
+            requested=len(configs),
+            cached=len(configs) - len(missing),
+            fresh=len(missing),
+            workers=workers,
+        )
         for point in points:
             if point is not None:
+                self._trace_point(point, "cache", wave)
                 self._remember(point)
         if missing:
             fresh = iter_evaluations(
@@ -647,8 +640,11 @@ class Study:
     ``collect_metrics=True`` fills each run's :class:`RunStats` with
     phase timers and counters.  A tracer implies metrics collection
     (the per-run ``metrics`` event needs the numbers).  Both off — the
-    default — records into :data:`~repro.telemetry.metrics.NULL_METRICS`,
-    which keeps nothing.
+    default — records into :data:`~repro.telemetry.tracer.NULL_TRACER`
+    and :data:`~repro.telemetry.metrics.NULL_METRICS`, which keep
+    nothing.  The study traces through its own view of ``tracer``,
+    stamped with the tracer's study name or else the spec's, so a
+    tracer shared by several studies stamps each with its own name.
     """
 
     def __init__(
@@ -657,7 +653,7 @@ class Study:
         cache=None,
         workers: int | None = None,
         progress: ProgressFn | None = None,
-        tracer: Tracer | None = None,
+        tracer: Tracer = NULL_TRACER,
         collect_metrics: bool = False,
         policy: FaultPolicy | None = None,
         checkpoint: str | Path | None = None,
@@ -676,8 +672,8 @@ class Study:
                 "use workers=1 for the serial path"
             )
         self.progress = progress
-        self.tracer = tracer
-        self.collect_metrics = collect_metrics or tracer is not None
+        self.tracer = tracer.bind(study=tracer.study or spec.name)
+        self.collect_metrics = collect_metrics or tracer is not NULL_TRACER
         #: Opt-in RTL calibration post-pass: audit each run's base
         #: front against the emitted core (:mod:`repro.rtl.calibrate`).
         #: A kwarg rather than a spec field — calibration reads results,
@@ -729,27 +725,18 @@ class Study:
         flagged ``interrupted=True``.  The checkpoint file (when one
         was requested) and the telemetry sinks are flushed either way.
         """
-        if self.tracer is not None and self.tracer.study is None:
-            self.tracer.study = self.spec.name
-        result = StudyResult(spec=self.spec)
         spec = self.spec
+        result = StudyResult(spec=spec)
         try:
-            if self.tracer is None:
+            with self.tracer.span(
+                "study", strategy=spec.strategy,
+                objectives=list(spec.objectives),
+                workloads=list(spec.workloads),
+            ):
                 for workload_name in spec.workloads:
-                    result.runs.append(self._run_one(workload_name))
-            else:
-                with self.tracer.span(
-                    "study", strategy=spec.strategy,
-                    objectives=list(spec.objectives),
-                    workloads=list(spec.workloads),
-                ):
-                    for workload_name in spec.workloads:
-                        label = (
-                            f"{workload_name}/{spec.space_label}"
-                            f"/w{spec.width}"
-                        )
-                        with self.tracer.span("run", run=label):
-                            result.runs.append(self._run_one(workload_name))
+                    label = f"{workload_name}/{spec.space_label}/w{spec.width}"
+                    with self.tracer.span("run", run=label):
+                        result.runs.append(self._run_one(workload_name))
         except (KeyboardInterrupt, StudyInterrupted):
             result.interrupted = True
             self.manager.interrupted = True
@@ -824,13 +811,8 @@ class Study:
             evaluate=evaluator.evaluate,
             evaluate_many=evaluator.evaluate_many,
         )
-        if self.tracer is None:
+        with self.tracer.span("search", run=label, strategy=spec.strategy):
             outcome = run_strategy(spec.strategy, job, spec.params)
-        else:
-            with self.tracer.span(
-                "search", run=label, strategy=spec.strategy
-            ):
-                outcome = run_strategy(spec.strategy, job, spec.params)
         result = ExplorationResult(
             workload=workload.name, profile=profile, points=outcome.points
         )
@@ -838,7 +820,6 @@ class Study:
             metrics.count("moves_proposed", outcome.moves_proposed)
             metrics.count("moves_accepted", outcome.moves_accepted)
             metrics.count("moves_rejected", outcome.moves_rejected)
-        if self.tracer is not None and outcome.moves_proposed:
             self.tracer.event(
                 "strategy",
                 run=label,
@@ -885,8 +866,7 @@ class Study:
             for key, value in cache_delta.items():
                 if value:
                     metrics.count(f"result_cache_{key}", value)
-            if self.tracer is not None:
-                self.tracer.event("cache", run=label, **cache_delta)
+            self.tracer.event("cache", run=label, **cache_delta)
 
         stats = self._run_stats(
             label, evaluator, len(configs), started, post_pass_hits
@@ -942,13 +922,12 @@ class Study:
         stats = self._run_stats(
             cur["label"], evaluator, cur["total"], cur["started"]
         )
-        if self.tracer is not None:
-            self.tracer.event(
-                "interrupted",
-                run=cur["label"],
-                completed=len(points),
-                total=cur["total"],
-            )
+        self.tracer.event(
+            "interrupted",
+            run=cur["label"],
+            completed=len(points),
+            total=cur["total"],
+        )
         return StudyRun(
             workload=cur["workload"],
             space=spec.space_label,
@@ -983,19 +962,18 @@ class Study:
             counters=snapshot["counters"],
             histograms=snapshot["histograms"],
         )
-        if self.tracer is not None:
-            self.tracer.event(
-                "metrics",
-                run=label,
-                phases=stats.phases,
-                counters=stats.counters,
-                histograms=stats.histograms,
-                total=stats.total,
-                cache_hits=stats.cache_hits,
-                evaluated=stats.evaluated,
-                post_pass_hits=stats.post_pass_hits,
-                workers=stats.workers,
-            )
+        self.tracer.event(
+            "metrics",
+            run=label,
+            phases=stats.phases,
+            counters=stats.counters,
+            histograms=stats.histograms,
+            total=stats.total,
+            cache_hits=stats.cache_hits,
+            evaluated=stats.evaluated,
+            post_pass_hits=stats.post_pass_hits,
+            workers=stats.workers,
+        )
         return stats
 
     def _attach_test_costs(
@@ -1092,10 +1070,7 @@ class Study:
                 context=evaluator.context,
             )
             reports.append(report)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "calibration", run=label, **report.to_dict()
-                )
+            self.tracer.event("calibration", run=label, **report.to_dict())
         return reports
 
     def _post_pass_front(

@@ -23,15 +23,16 @@ Five small, zero-dependency pieces:
   subcommand).
 
 Telemetry is strictly opt-in and result-equivalent: every instrumented
-call site defaults to ``tracer=None`` / ``metrics=None`` and produces
-identical fronts and cache contents either way.
+call site defaults to ``tracer=NULL_TRACER`` / ``metrics=NULL_METRICS``
+— null objects whose recording methods do nothing — and produces
+identical fronts and cache contents either way.  Each layer exports
+its numbers once: a study's phase timers, counters and histograms
+leave through the trace's per-run ``metrics`` events (``python -m
+repro trace summarize --format json`` reads them back), and the study
+server's through its ``metrics`` op.
 """
 
-from repro.telemetry.histogram import (
-    DEFAULT_BOUNDS,
-    Histogram,
-    merge_histogram_snapshots,
-)
+from repro.telemetry.histogram import DEFAULT_BOUNDS, Histogram
 from repro.telemetry.live import (
     LiveRegistry,
     MetricsExporter,
@@ -39,6 +40,7 @@ from repro.telemetry.live import (
     render_prometheus,
 )
 from repro.telemetry.metrics import (
+    NULL_METRICS,
     PHASES,
     MetricsCollector,
     format_phases,
@@ -54,7 +56,7 @@ from repro.telemetry.summarize import (
     load_trace,
     summarize_trace,
 )
-from repro.telemetry.tracer import BoundTracer, Tracer
+from repro.telemetry.tracer import NULL_TRACER, BoundTracer, Tracer
 
 __all__ = [
     "BoundTracer",
@@ -63,6 +65,8 @@ __all__ = [
     "LiveRegistry",
     "MetricsCollector",
     "MetricsExporter",
+    "NULL_METRICS",
+    "NULL_TRACER",
     "PHASES",
     "SCHEMA_VERSION",
     "Tracer",
@@ -70,7 +74,6 @@ __all__ = [
     "format_phases",
     "format_trace_summary",
     "load_trace",
-    "merge_histogram_snapshots",
     "merge_snapshots",
     "read_trace",
     "render_prometheus",

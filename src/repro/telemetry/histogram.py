@@ -153,13 +153,3 @@ class Histogram:
             )
             for q in qs
         }
-
-
-def merge_histogram_snapshots(snapshots: "list[dict]") -> dict | None:
-    """Merge histogram snapshots (order-independent); None when empty."""
-    hist: Histogram | None = None
-    for snapshot in snapshots:
-        if hist is None:
-            hist = Histogram(tuple(snapshot["bounds"]))
-        hist.merge(snapshot)
-    return None if hist is None else hist.snapshot()

@@ -25,8 +25,9 @@ and :class:`MetricsExporter` serves it from a stdlib
 ``ThreadingHTTPServer`` on a daemon thread (``GET /metrics``).
 
 Like everything in :mod:`repro.telemetry`, the registry is opt-in and
-result-equivalent: no study code constructs one on its own, and an
-instrumented call site handed ``metrics=None`` does no bookkeeping.
+result-equivalent: no study code constructs one on its own; the study
+server owns one and serves it through its ``metrics`` op, the one
+place the server's numbers leave.
 """
 
 from __future__ import annotations

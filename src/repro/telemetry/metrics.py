@@ -28,8 +28,8 @@ wave completion.
 Everything is opt-in.  Instrumented code records unconditionally and,
 with telemetry off, records into :data:`NULL_METRICS` — a collector
 whose recording methods do nothing — so one code path serves both
-modes.  Call sites that take ``metrics=None`` (the default) use it in
-place of ``None``.
+modes.  Every call site that takes a ``metrics`` collector defaults
+to it.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ so the study server can hand :meth:`~Tracer.bind`-stamped views of one
 tracer to jobs running on different threads.
 
 Tracing is strictly opt-in: nothing in the study stack constructs a
-tracer on its own, and every instrumented call site accepts
-``tracer=None`` (the default) and skips all work in that case.  Only
-the parent process traces — pool workers report their share through
-metric snapshots merged on wave completion, never through the sink —
-so one file descriptor owns the file and records never interleave.
+tracer on its own, and every instrumented call site defaults to
+:data:`NULL_TRACER`, whose recording methods do nothing, so one code
+path serves both modes.  Only the parent process traces — pool workers
+report their share through metric snapshots merged on wave
+completion, never through the sink — so one file descriptor owns the
+file and records never interleave.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import perf_counter
 from typing import IO, Iterator
@@ -43,10 +44,10 @@ class Tracer:
 
     ``sink`` is a path (opened for writing, parents created) or any
     object with ``write``/``flush``.  ``study`` stamps every record
-    with the study id; the engine fills it in lazily when the CLI did
-    not.  ``flush_every``/``flush_seconds`` bound how much a crash can
-    lose (``flush_every=1`` restores the old flush-per-record
-    behaviour).
+    with the study id; a study given a tracer without one traces
+    through a :meth:`bind` view stamped with its own name.
+    ``flush_every``/``flush_seconds`` bound how much a crash can lose
+    (``flush_every=1`` restores the old flush-per-record behaviour).
     """
 
     def __init__(
@@ -214,11 +215,16 @@ class Tracer:
 
     def bind(
         self, job: str | None = None, tenant: str | None = None,
+        study: str | None = None,
     ) -> "BoundTracer":
-        """A view of this tracer that stamps ``job``/``tenant`` on
-        every record — how the study server correlates study-layer
-        spans with the service job that ran them."""
-        return BoundTracer(self, job=job, tenant=tenant)
+        """A view of this tracer that stamps ``job``/``tenant``/``study``
+        on every record — how the study server correlates study-layer
+        spans with the service job that ran them, and how a study
+        stamps its name without writing to a tracer it shares."""
+        view = BoundTracer(self, job=job, tenant=tenant)
+        if study is not None:
+            view.study = study
+        return view
 
     def close(self) -> None:
         with self._lock:
@@ -237,14 +243,14 @@ class Tracer:
 
 
 class BoundTracer:
-    """A :class:`Tracer` view with ``job``/``tenant`` pre-stamped.
+    """A :class:`Tracer` view with ``job``/``tenant``/``study`` pre-stamped.
 
     Shares the underlying sink, clock and buffer; exposes the same
     recording surface (``event``/``span``/``metric_snapshot``/
-    ``bind``) plus a **view-local** ``study`` attribute the engine
-    fills in lazily — concurrent jobs bound to one tracer each keep
-    their own study stamp without racing on the shared base.  Closing
-    is the owner's business — ``close`` here only flushes.
+    ``bind``) plus a **view-local** ``study`` attribute — concurrent
+    jobs bound to one tracer each keep their own study stamp without
+    racing on the shared base.  Closing is the owner's business —
+    ``close`` here only flushes.
     """
 
     def __init__(
@@ -273,15 +279,49 @@ class BoundTracer:
 
     def bind(
         self, job: str | None = None, tenant: str | None = None,
+        study: str | None = None,
     ) -> "BoundTracer":
-        return BoundTracer(
+        view = BoundTracer(
             self._base,
             job=self.job if job is None else job,
             tenant=self.tenant if tenant is None else tenant,
         )
+        view.study = self.study if study is None else study
+        return view
 
     def flush(self) -> None:
         self._base.flush()
 
     def close(self) -> None:
         self._base.flush()
+
+
+class _NullTracer(Tracer):
+    """A tracer that records nothing: the telemetry-off tracer."""
+
+    def __init__(self) -> None:
+        self.study = None
+
+    def event(self, name: str, **kwargs) -> None:
+        pass
+
+    def span(self, name: str, **kwargs):
+        return _NO_SPAN
+
+    def metric_snapshot(self, name: str, data: dict, **kwargs) -> None:
+        pass
+
+    def bind(self, **kwargs) -> "_NullTracer":
+        return self
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+_NO_SPAN = nullcontext()
+
+#: The shared telemetry-off tracer (stateless, so one serves all).
+NULL_TRACER: Tracer = _NullTracer()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.components.spec import ComponentKind
 from repro.explore.evaluate import EvaluatedPoint, architecture_of
-from repro.telemetry.metrics import NULL_METRICS
+from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
 from repro.testcost.backannotate import Backannotation, component_backannotation
 from repro.testcost.transport import transport_latency
 from repro.tta.arch import Architecture
@@ -169,7 +169,7 @@ def attach_test_costs(
     points: list[EvaluatedPoint],
     march_name: str = "March C-",
     width: int = 16,
-    metrics=None,
+    metrics: MetricsCollector = NULL_METRICS,
 ) -> list[EvaluatedPoint]:
     """Annotate evaluated points with ``f_t`` (feasible points only).
 
@@ -181,10 +181,8 @@ def attach_test_costs(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
     analytical model as the ``test_cost`` phase and counts annotated
-    points (``test_cost_attached``); ``None`` records nothing.
+    points (``test_cost_attached``); the default records nothing.
     """
-    if metrics is None:
-        metrics = NULL_METRICS
     for point in points:
         if not point.feasible:
             continue

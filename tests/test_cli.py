@@ -249,20 +249,16 @@ def test_explore_profile_flag(capsys):
 
 
 def test_study_trace_and_metrics_out(capsys, tmp_path):
+    """The trace is the one export of a study's numbers: ``trace
+    summarize --format json`` gives each run's counters and phases and
+    their merge across runs."""
     trace = tmp_path / "study.jsonl"
-    metrics = tmp_path / "metrics.json"
     code, out, err = _run(
         capsys, "study", "--workloads", "gcd", "--space", "small",
-        "--no-cache", "-q",
-        "--trace", str(trace), "--metrics-out", str(metrics),
+        "--no-cache", "-q", "--trace", str(trace),
     )
     assert code == 0
     assert "phase" in out and "schedule" in out  # summary prints the table
-    report = json.loads(metrics.read_text())
-    run = report["runs"][0]
-    counters = run["counters"]
-    assert counters["proposed"] == counters["cache_hits"] + counters["evaluated"]
-    assert report["merged"]["phases"]
     # the trace validates and summarizes through the CLI
     code, out, _ = _run(capsys, "trace", "validate", str(trace))
     assert code == 0 and "schema OK" in out
@@ -277,6 +273,9 @@ def test_study_trace_and_metrics_out(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["runs"][0]["label"] == "gcd/small/w16"
     assert summary["runs"][0]["points"] == 12
+    counters = summary["runs"][0]["metrics"]["counters"]
+    assert counters["proposed"] == counters["cache_hits"] + counters["evaluated"]
+    assert summary["metrics"]["phases"]
     assert summary["jobs"] == []
 
 
@@ -289,15 +288,22 @@ def test_trace_rejects_corrupt_file(capsys, tmp_path):
 
 
 def test_energy_metrics_out(capsys, tmp_path):
-    metrics = tmp_path / "energy-metrics.json"
+    """``energy --trace`` carries the whole metrics snapshot, histograms
+    included, in its run's ``metrics`` event."""
+    trace = tmp_path / "energy.jsonl"
     code, out, _ = _run(
         capsys, "energy", "gcd", "--space", "small", "--index", "5",
-        "--metrics-out", str(metrics),
+        "--trace", str(trace),
     )
     assert code == 0
-    snapshot = json.loads(metrics.read_text())
+    code, out, _ = _run(
+        capsys, "trace", "summarize", str(trace), "--format", "json",
+    )
+    assert code == 0
+    snapshot = json.loads(out)["runs"][0]["metrics"]
     assert "simulate" in snapshot["phases"]
     assert "energy_model" in snapshot["phases"]
+    assert snapshot["histograms"]["eval_seconds"]["count"] == 1
 
 
 def test_rtl_emit_json(capsys):

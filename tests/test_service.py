@@ -484,7 +484,7 @@ class TestServiceEndToEnd:
                 assert state_b["state"] == "done"
                 result_a = ca.result(job_a)
                 result_b = cb.result(job_b)
-                stats = ca.stats()
+                gauges = ca.metrics()["registry"]["gauges"]
 
             # streamed final fronts == the batch Study.run() fronts
             assert fronts_a["gcd/small/w16"]["final"]
@@ -515,7 +515,7 @@ class TestServiceEndToEnd:
                 run["stats"]["cache_hits"]
                 for result in (result_a, result_b)
                 for run in result["runs"]
-            ) + stats["dedupe"]["coalesced"]
+            ) + gauges["dedupe_coalesced"][0]["value"]
             assert shared >= 12
         finally:
             _stop_server(proc, sock)

@@ -751,6 +751,26 @@ def test_legacy_shims_removed():
         "save_state", "resume_state", "workload", "profile", "width",
     }
 
+    # One instrument path: each layer exports its numbers once — a
+    # study's through the trace, the server's through the metrics op.
+    import repro.telemetry
+    from repro.service import ServiceClient, protocol
+
+    for module, name in (
+        (repro.telemetry, "merge_histogram_snapshots"),
+        (ServiceClient, "stats"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "stats" not in protocol.OPS
+    for argv in (
+        ["study", "--metrics-out", "x"],
+        ["energy", "gcd", "--metrics-out", "x"],
+        ["jobs", "--server", "s", "--stats"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
 
 # ----------------------------------------------------------------------
 # selection over arbitrary objective vectors

@@ -27,7 +27,6 @@ from repro.telemetry import (
     Tracer,
     aggregate_series,
     load_trace,
-    merge_histogram_snapshots,
     merge_snapshots,
     read_trace,
     render_prometheus,
@@ -414,6 +413,23 @@ class TestTraceContents:
         assert all(r["points"] == 12 for r in summary["runs"])
         assert summary["metrics"]["phases"]
 
+    def test_shared_tracer_stamps_each_study(self, tmp_path):
+        """Two studies on one tracer each stamp their own name, and the
+        caller's tracer is never written to."""
+        path = tmp_path / "shared.jsonl"
+        with Tracer(path) as tracer:
+            for name in ("first", "second"):
+                run_study(
+                    StudySpec(name=name, workloads=("gcd",), space="small"),
+                    tracer=tracer,
+                )
+        records = load_trace(path)
+        studies = [r["study"] for r in records if r["name"] == "study"]
+        assert studies == ["first", "second"]
+        stamps = {r.get("study") for r in records if r["kind"] != "meta"}
+        assert stamps == {"first", "second"}
+        assert tracer.study is None
+
 
 # ----------------------------------------------------------------------
 # serialization
@@ -481,8 +497,15 @@ class TestHistogram:
         for i, v in enumerate(values):
             shards[i % 4].observe(v)
         snaps = [s.snapshot() for s in shards]
-        forward = merge_histogram_snapshots(snaps)
-        backward = merge_histogram_snapshots(list(reversed(snaps)))
+
+        def merged(order):
+            hist = Histogram()
+            for snap in order:
+                hist.merge(snap)
+            return hist.snapshot()
+
+        forward = merged(snaps)
+        backward = merged(list(reversed(snaps)))
         # bucket-for-bucket identical regardless of merge order, and
         # identical to observing serially
         assert forward["counts"] == backward["counts"] == serial.counts
@@ -494,7 +517,6 @@ class TestHistogram:
             Histogram.from_snapshot(forward).quantiles()
             == serial.quantiles()
         )
-        assert merge_histogram_snapshots([]) is None
 
     def test_merge_rejects_mismatched_bounds(self):
         h = Histogram(bounds=(1.0, 2.0))
