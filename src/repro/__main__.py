@@ -6,9 +6,9 @@ The batch subcommands drive the paper's flow:
   (workloads, space, objectives, strategy) through the study engine;
   a campaign over several spaces or widths is one ``study`` per
   (space, width) sharing ``--cache-dir``,
-* ``energy``   — compile one workload onto one configuration, simulate
-  it with activity tracing and print the component-level energy
-  breakdown,
+* ``rtl``      — emit one configuration as a synthesizable core, or
+  report one (workload, configuration) point: the model-vs-RTL audit
+  and the component-level energy breakdown of its traced simulation,
 * ``report``   — re-emit / Pareto-filter previously exported results,
 * ``list``     — show the registered workloads, spaces, objectives,
   search strategies and technology parameter sets,
@@ -32,12 +32,12 @@ N`` and continues a killed run with ``--resume FILE``.  Study exit
 codes are structured: 0 clean, 1 usage/runtime error, 3 interrupted
 (partial result), 4 completed but with failed points recorded.
 
-``study`` and ``energy`` accept ``--profile`` to dump a cProfile
-top-25 (cumulative) of the run to stderr and ``--trace FILE.jsonl`` to
-record the structured telemetry stream, whose per-run ``metrics``
-events carry the phase timers, counters and histograms (``trace
-summarize --format json`` reads them back); both are strictly opt-in
-and change no results.
+``study`` accepts ``--profile`` to dump a cProfile top-25
+(cumulative) of the run to stderr and ``--trace FILE.jsonl`` to record
+the structured telemetry stream, whose per-run ``metrics`` events carry
+the phase timers, counters and histograms (``trace summarize --format
+json`` reads them back); both are strictly opt-in and change no
+results.
 
 All tabular output goes through :mod:`repro.reporting`, so files written
 here feed straight back into ``report`` (and any spreadsheet).
@@ -70,12 +70,7 @@ from repro.study import (
     strategy_by_name,
     strategy_names,
 )
-from repro.telemetry import (
-    NULL_METRICS,
-    NULL_TRACER,
-    MetricsCollector,
-    Tracer,
-)
+from repro.telemetry import NULL_TRACER, Tracer
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -117,13 +112,11 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _make_tracer(
-    args: argparse.Namespace, study: str | None = None
-) -> Tracer:
+def _make_tracer(args: argparse.Namespace) -> Tracer:
     """A Tracer on ``--trace FILE.jsonl``, else :data:`NULL_TRACER`."""
     if not args.trace:
         return NULL_TRACER
-    return Tracer(args.trace, study=study)
+    return Tracer(args.trace)
 
 
 def _make_policy(args: argparse.Namespace):
@@ -291,7 +284,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# energy
+# rtl (full-core emission + the one-point report)
 # ----------------------------------------------------------------------
 def _config_from_args(args: argparse.Namespace):
     """The ArchConfig named by ``--config FILE`` or ``--space/--index``."""
@@ -306,55 +299,6 @@ def _config_from_args(args: argparse.Namespace):
     return space[args.index]
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
-    from repro.energy import energy_report, format_energy_report
-    from repro.explore.space import build_architecture_cached
-    from repro.study.engine import workload_profile
-    from repro.apps.registry import build_workload
-    from repro.explore.evaluate import EvaluationContext
-
-    config = _config_from_args(args)
-    tech = technology_by_name(args.tech)
-    workload = build_workload(args.workload)
-    profile = workload_profile(args.workload, args.width)
-    metrics = MetricsCollector() if args.trace else NULL_METRICS
-    tracer = _make_tracer(args, study=f"energy:{args.workload}")
-    label = f"{args.workload}/{config.label()}/w{args.width}"
-    try:
-        context = EvaluationContext(
-            workload, profile, args.width, metrics=metrics
-        )
-        point = context.evaluate(config, keep_compile_result=True)
-        if not point.feasible:
-            raise ValueError(
-                f"{args.workload} does not compile onto {config.label()}"
-            )
-        arch = build_architecture_cached(config, args.width)
-
-        def run_report():
-            return energy_report(
-                arch, point.compile_result.program, tech=tech,
-                max_cycles=args.max_cycles, metrics=metrics,
-            )
-
-        with tracer.span("run", run=label, config=config.label()):
-            breakdown = _maybe_profiled(args, run_report)
-        tracer.event("metrics", run=label, **metrics.snapshot())
-    finally:
-        tracer.close()
-    text = format_energy_report(breakdown)
-    text += (
-        f"\npoint: area={point.area:.0f} "
-        f"static_cycles={point.cycles} energy={breakdown.total:.1f}"
-    )
-    _emit(text, args.output)
-    return 0
-
-
-
-# ----------------------------------------------------------------------
-# rtl (full-core emission + model calibration)
-# ----------------------------------------------------------------------
 def cmd_rtl(args: argparse.Namespace) -> int:
     from repro.apps.registry import build_workload
     from repro.explore.evaluate import EvaluationContext
@@ -802,12 +746,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", default=None, metavar="FILE.jsonl",
-                   help="record the structured telemetry stream here "
-                        "(see: python -m repro trace summarize)")
-
-
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: "
@@ -870,7 +808,7 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    """The flags :func:`_config_from_args` reads (energy, rtl), plus -o."""
+    """The flags :func:`_config_from_args` reads (rtl), plus -o."""
     p.add_argument("--space", default="small",
                    help=f"configuration grid to pick from "
                         f"(one of: {', '.join(space_names())})")
@@ -905,7 +843,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to file instead of stdout")
     _add_run_args(p)
     _add_cache_args(p)
-    _add_telemetry_args(p)
+    p.add_argument("--trace", default=None, metavar="FILE.jsonl",
+                   help="record the structured telemetry stream here "
+                        "(see: python -m repro trace summarize)")
     _add_fault_args(p)
     p.add_argument("--checkpoint", default=None, metavar="FILE.json",
                    help="write a resumable checkpoint here as points "
@@ -922,22 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None (not 1) so a --spec file's own `workers` field wins unless
     # the flag is given explicitly.
     p.set_defaults(func=cmd_study, workers=None)
-
-    p = sub.add_parser("energy",
-                       help="component-level energy breakdown of one "
-                            "(workload, configuration) pair")
-    p.add_argument("workload",
-                   help=f"one of: {', '.join(workload_names())}")
-    _add_config_args(p)
-    p.add_argument("--tech", default="default",
-                   help="technology parameter set "
-                        "(see: python -m repro list --technologies)")
-    p.add_argument("--max-cycles", type=int, default=5_000_000,
-                   help="simulation cycle budget (default 5M)")
-    p.add_argument("--profile", action="store_true",
-                   help="dump cProfile top-25 (cumulative) to stderr")
-    _add_telemetry_args(p)
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("rtl",
                        help="emit a full synthesizable TTA core, or "

@@ -6,7 +6,8 @@ contains ``energy`` or ``edp``.  For each feasible point the workload is
 compiled onto the point's architecture (through the sweep's shared
 :class:`~repro.explore.evaluate.EvaluationContext`, so register
 allocations are reused) and simulated once with activity tracing; the
-resulting breakdown total becomes ``point.energy``.
+resulting breakdown total becomes ``point.energy``.  The RTL
+calibration gets its program from the same :func:`compiled_program`.
 
 Energies persist in one place only: the study's
 :class:`~repro.campaign.cache.ResultCache`, keyed by the technology
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.ir import IRFunction
-from repro.energy.model import TechnologyParameters, technology_by_name
+from repro.energy.model import TechnologyParameters
 from repro.energy.report import EnergyBreakdown, energy_report
 from repro.explore.evaluate import EvaluatedPoint, EvaluationContext
 from repro.explore.space import build_architecture_cached
 from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
+from repro.tta.isa import Program
 
 
 def _default_context(
@@ -39,6 +41,32 @@ def _default_context(
     return EvaluationContext(workload, profile, width)
 
 
+def compiled_program(
+    point: EvaluatedPoint,
+    workload: IRFunction,
+    width: int = 16,
+    context: EvaluationContext | None = None,
+) -> Program:
+    """The program a feasible point runs.
+
+    Its kept compile result, else recompiled through ``context``
+    (default: one with the workload's real profile), which schedules
+    the same program the sweep did.
+    """
+    if not point.feasible:
+        raise ValueError(f"{point.label}: infeasible; no program to run")
+    compiled = point.compile_result
+    if compiled is None:
+        if context is None:
+            context = _default_context(workload, width)
+        compiled = context.evaluate(
+            point.config, keep_compile_result=True
+        ).compile_result
+    if compiled is None:
+        raise ValueError(f"{point.label}: workload does not compile")
+    return compiled.program
+
+
 def energy_breakdown_of(
     point: EvaluatedPoint,
     workload: IRFunction,
@@ -49,23 +77,10 @@ def energy_breakdown_of(
     metrics: MetricsCollector = NULL_METRICS,
 ) -> EnergyBreakdown:
     """Full component-level breakdown for one feasible point."""
-    if not point.feasible:
-        raise ValueError(f"{point.label} is infeasible; no energy to report")
-    if tech is None:
-        tech = technology_by_name("default")
-    if context is None:
-        context = _default_context(workload, width)
-    arch = build_architecture_cached(point.config, width)
-    compiled = point.compile_result
-    if compiled is None:
-        compiled = context.evaluate(
-            point.config, keep_compile_result=True
-        ).compile_result
-    if compiled is None:
-        raise ValueError(f"{point.label}: workload does not compile")
     return energy_report(
-        arch, compiled.program, tech=tech, max_cycles=max_cycles,
-        metrics=metrics,
+        build_architecture_cached(point.config, width),
+        compiled_program(point, workload, width, context),
+        tech=tech, max_cycles=max_cycles, metrics=metrics,
     )
 
 
@@ -89,8 +104,6 @@ def attach_energy(
     ``simulate``/``energy_model`` phase timers; the default records
     nothing.
     """
-    if tech is None:
-        tech = technology_by_name("default")
     shared = context or _default_context(workload, width)
     for point in points:
         if not point.feasible or point.energy is not None:

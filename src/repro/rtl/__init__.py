@@ -8,9 +8,9 @@ existing gate-level component netlists, and emits it as synthesizable
 Verilog.  :mod:`repro.rtl.calibrate` then audits the study layer's
 numbers against that structure: per-component area deltas between the
 emitted gates and the ``TechnologyParameters``-weighted model, and the
-static ``cycles`` objective against simulated cycles from the energy
-pass's activity trace.  :mod:`repro.rtl.lint` keeps the emitted text
-self-consistent.
+static ``cycles`` objective against simulated cycles from the one
+activity-traced simulation that also prices the point's energy.
+:mod:`repro.rtl.lint` keeps the emitted text self-consistent.
 """
 
 from repro.rtl.core import CoreDesign, RTLError, elaborate_core

@@ -3,10 +3,10 @@
 Two audits per (workload, config, width):
 
 * **Cycles** — the static ``cycles`` objective (profile-weighted
-  schedule length) against *simulated* cycles from the energy pass's
-  activity trace.  Both are already computed by the study stack, so the
-  comparison is free; a nonzero delta means the scheduler's timing
-  model and the simulator disagree.
+  schedule length) against *simulated* cycles.  The cycle audit and
+  the point's energy breakdown come from one activity-traced
+  simulation, which the report keeps; a nonzero delta means the
+  scheduler's timing model and the simulator disagree.
 * **Area** — per-component structural gate/cell counts of the emitted
   core (:func:`repro.rtl.core.elaborate_core` + the existing netlist
   statistics) against the datasheet-derived areas the ``area``
@@ -33,13 +33,18 @@ from repro.components.library import (
     component_datasheet,
 )
 from repro.components.spec import ComponentKind
-from repro.energy.attach import _default_context
-from repro.energy.model import TechnologyParameters, technology_by_name
-from repro.energy.report import energy_report
+from repro.energy.attach import _default_context, compiled_program
+from repro.energy.model import TechnologyParameters
+from repro.energy.report import (
+    EnergyBreakdown,
+    energy_report,
+    format_energy_report,
+)
 from repro.explore.evaluate import EvaluatedPoint, EvaluationContext
 from repro.explore.space import ArchConfig, build_architecture_cached
 from repro.netlist.stats import netlist_stats
 from repro.rtl.core import CoreDesign, _core_module_name, elaborate_core
+from repro.telemetry.metrics import NULL_METRICS, MetricsCollector
 from repro.tta.arch import BUS_AREA_PER_BIT, CONNECTION_AREA, Architecture
 
 #: Documented rtl/model area ratio bands per component category.
@@ -96,16 +101,29 @@ class ComponentDelta:
 
 @dataclass
 class CalibrationReport:
-    """Cycles + per-component area verdicts for one (workload, config)."""
+    """Cycles + per-component area verdicts for one (workload, config).
+
+    ``breakdown`` is the traced simulation behind the cycle audit.
+    """
 
     workload: str
     config: str
     width: int
-    tech: str
     static_cycles: int
-    simulated_cycles: int
-    energy: float
+    breakdown: EnergyBreakdown
     deltas: list[ComponentDelta] = field(default_factory=list)
+
+    @property
+    def tech(self) -> str:
+        return self.breakdown.tech
+
+    @property
+    def simulated_cycles(self) -> int:
+        return self.breakdown.cycles
+
+    @property
+    def energy(self) -> float:
+        return self.breakdown.total
 
     @property
     def cycles_delta(self) -> int:
@@ -227,35 +245,27 @@ def calibrate_point(
     tech: TechnologyParameters | None = None,
     context: EvaluationContext | None = None,
     max_cycles: int = 5_000_000,
+    metrics: MetricsCollector = NULL_METRICS,
 ) -> CalibrationReport:
-    """Calibrate one evaluated point (study post-pass entry)."""
-    if not point.feasible:
-        raise ValueError(f"{point.label}: infeasible; nothing to calibrate")
-    if tech is None:
-        tech = technology_by_name("default")
-    if context is None:
-        context = _default_context(workload, width)
-    compiled = point.compile_result
-    if compiled is None:
-        compiled = context.evaluate(
-            point.config, keep_compile_result=True
-        ).compile_result
-    if compiled is None:
-        raise ValueError(f"{point.label}: workload does not compile")
+    """Calibrate one evaluated point (study post-pass entry).
+
+    ``metrics`` times the simulation (``simulate``/``energy_model``)
+    and the elaboration plus area audit (``rtl_elaborate``).
+    """
+    program = compiled_program(point, workload, width, context)
     arch = build_architecture_cached(point.config, width)
     breakdown = energy_report(
-        arch, compiled.program, tech=tech, max_cycles=max_cycles
+        arch, program, tech=tech, max_cycles=max_cycles, metrics=metrics
     )
-    design = elaborate_core(arch, program=compiled.program)
+    with metrics.phase("rtl_elaborate"):
+        deltas = area_deltas(arch, elaborate_core(arch, program=program))
     return CalibrationReport(
         workload=workload.name,
         config=point.config.label(),
         width=width,
-        tech=tech.name,
         static_cycles=int(point.cycles),
-        simulated_cycles=int(breakdown.cycles),
-        energy=breakdown.total,
-        deltas=area_deltas(arch, design),
+        breakdown=breakdown,
+        deltas=deltas,
     )
 
 
@@ -282,7 +292,7 @@ def calibrate(
 
 
 def format_calibration_report(report: CalibrationReport) -> str:
-    """Human-readable calibration table."""
+    """Human-readable calibration table, then the energy breakdown."""
     verdict = "OK" if report.ok else "DRIFT"
     lines = [
         f"calibration {report.workload} @ {report.config} "
@@ -310,4 +320,5 @@ def format_calibration_report(report: CalibrationReport) -> str:
                 f"    {d.name:<14} model=        - "
                 f"rtl={d.rtl_area:>9.1f} (unmodelled)"
             )
+    lines.append(format_energy_report(report.breakdown))
     return "\n".join(lines)

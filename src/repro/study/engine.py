@@ -767,7 +767,8 @@ class Study:
         needs_energy = any(o.requires_energy for o in objectives)
         # Only key cached test costs / energies on the parameters the
         # study will actually use — otherwise output would depend on
-        # what earlier runs attached.
+        # what earlier runs attached.  The keys also select the
+        # post-passes (Study._post_passes).
         march = spec.march if needs_test_costs else None
         tech = technology_by_name(spec.tech)
         energy_model = tech.fingerprint() if needs_energy else None
@@ -830,23 +831,11 @@ class Study:
                 iterations=outcome.iterations,
             )
 
-        post_pass_hits = 0
-        if needs_test_costs:
-            post_pass_hits += self._attach_test_costs(
-                result, objectives, evaluator
-            )
-        if needs_energy:
-            post_pass_hits += self._attach_energy(
-                result, objectives, evaluator, tech
-            )
+        post_pass_hits, calibrations = self._post_passes(
+            result, objectives, evaluator, tech
+        )
         if post_pass_hits:
             metrics.count("post_pass_hits", post_pass_hits)
-
-        calibrations: list = []
-        if self.calibrate_front:
-            calibrations = self._calibrate_front(
-                workload, result, objectives, evaluator, tech, label
-            )
 
         selection: SelectionResult | None = None
         if spec.select:
@@ -976,113 +965,80 @@ class Study:
         )
         return stats
 
-    def _attach_test_costs(
+    def _post_passes(
         self,
         result: ExplorationResult,
         objectives: tuple[Objective, ...],
         evaluator: CachedEvaluator,
-    ) -> int:
-        """The test-cost post-pass, on the base-objective front only.
+        tech,
+    ) -> tuple[int, list]:
+        """Test costs, RTL calibration and energy, on the base front.
 
         The paper evaluates the test axis *on the 2-D Pareto points*,
         preserving the already achieved area/throughput ratio; the
-        generalisation attaches costs to the front under the objectives
-        that need no post-pass.  Points restored from the cache already
-        carry a march-matched cost; only the rest run the ATPG-backed
-        math, and freshly attached costs stream back into the cache.
-        Returns the number of front points whose cost was already
-        attached (the post-pass cache hits).
+        generalisation runs every post-pass on the front under the
+        objectives that need none.  Calibration (opt-in, one
+        ``calibration`` trace event per point) runs before energy: a
+        calibrated point takes the energy of the simulation its audit
+        ran, the same program under the same technology, so each point
+        is simulated once.  Values restored from the cache are kept;
+        each pass stores its fresh values before the next starts.
+        Returns the post-pass cache hits and the calibration reports.
         """
-        front = self._post_pass_front(result, objectives)
-        todo = [p for p in front if p.test_cost is None]
-        hits = len(front) - len(todo)
-        if not todo:
-            return hits
-        attach_test_costs(
-            todo, self.spec.march, self.spec.width,
-            metrics=evaluator.metrics,
+        if (evaluator.march is None and evaluator.energy_model is None
+                and not self.calibrate_front):
+            return 0, []
+        base = [o for o in objectives if not o.needs_post_pass]
+        front = (
+            pareto_front(result.points, base)
+            if base else result.feasible_points
         )
-        for point in todo:
-            evaluator._store(point)
-        return hits
-
-    def _attach_energy(
-        self,
-        result: ExplorationResult,
-        objectives: tuple[Objective, ...],
-        evaluator: CachedEvaluator,
-        tech,
-    ) -> int:
-        """The switching-activity post-pass, on the base front only.
-
-        Exactly like the test axis: energy is simulated on the front
-        under the post-pass-free objectives (each point's compiled
-        program runs once with activity tracing through the sweep's
-        evaluation context), and fresh energies stream back into the
-        result cache keyed by the technology fingerprint.  Returns the
-        number of front points whose energy was already attached.
-        """
-        front = self._post_pass_front(result, objectives)
-        todo = [p for p in front if p.energy is None]
-        hits = len(front) - len(todo)
-        if not todo:
-            return hits
-        attach_energy(
-            todo,
-            evaluator.workload,
-            width=self.spec.width,
-            tech=tech,
-            context=evaluator.context,
-            metrics=evaluator.metrics,
-        )
-        for point in todo:
-            evaluator._store(point)
-        return hits
-
-    def _calibrate_front(
-        self,
-        workload,
-        result: ExplorationResult,
-        objectives: tuple[Objective, ...],
-        evaluator: CachedEvaluator,
-        tech,
-        label: str,
-    ) -> list:
-        """The RTL calibration post-pass, on the base front only.
-
-        Each front point's core is elaborated and audited against the
-        model (:func:`repro.rtl.calibrate.calibrate_point`); reports
-        ride the run (``StudyRun.calibrations``) and, with a tracer
-        attached, the trace ("calibration" events) so ``repro trace
-        summarize`` can report model drift per run.
-        """
-        # Imported here: calibration is opt-in, and the rtl package
-        # pulls the whole elaboration stack with it.
-        from repro.rtl.calibrate import calibrate_point
+        hits = 0
+        if evaluator.march is not None:
+            todo = [p for p in front if p.test_cost is None]
+            hits += len(front) - len(todo)
+            if todo:
+                attach_test_costs(
+                    todo, self.spec.march, self.spec.width,
+                    metrics=evaluator.metrics,
+                )
+                for point in todo:
+                    evaluator._store(point)
 
         reports = []
-        for point in self._post_pass_front(result, objectives):
-            report = calibrate_point(
-                point,
-                workload,
-                width=self.spec.width,
-                tech=tech,
-                context=evaluator.context,
-            )
-            reports.append(report)
-            self.tracer.event("calibration", run=label, **report.to_dict())
-        return reports
+        if self.calibrate_front:
+            # Imported here: calibration is opt-in, and the rtl package
+            # pulls the whole elaboration stack with it.
+            from repro.rtl.calibrate import calibrate_point
 
-    def _post_pass_front(
-        self,
-        result: ExplorationResult,
-        objectives: tuple[Objective, ...],
-    ) -> list[EvaluatedPoint]:
-        """Points the post-passes annotate: the base-objective front."""
-        base = [o for o in objectives if not o.needs_post_pass]
-        if base:
-            return pareto_front(result.points, base)
-        return result.feasible_points
+            for point in front:
+                report = calibrate_point(
+                    point, evaluator.workload, width=self.spec.width,
+                    tech=tech, context=evaluator.context,
+                    metrics=evaluator.metrics,
+                )
+                reports.append(report)
+                self.tracer.event(
+                    "calibration", run=evaluator.label, **report.to_dict()
+                )
+
+        if evaluator.energy_model is not None:
+            todo = [p for p in front if p.energy is None]
+            hits += len(front) - len(todo)
+            for point, report in zip(front, reports):
+                if point.energy is None:
+                    evaluator.metrics.count("energy_simulated")
+                    point.energy = round(report.energy, 3)
+            rest = [p for p in todo if p.energy is None]
+            if rest:
+                attach_energy(
+                    rest, evaluator.workload, width=self.spec.width,
+                    tech=tech, context=evaluator.context,
+                    metrics=evaluator.metrics,
+                )
+            for point in todo:
+                evaluator._store(point)
+        return hits, reports
 
 
 def run_study(spec: StudySpec, **kw) -> StudyResult:

@@ -49,8 +49,9 @@ PHASES = (
     "regalloc",       # register allocation (memo misses only)
     "schedule",       # transport scheduling
     "validate",       # the timing validator
-    "simulate",       # activity-traced simulation (energy post-pass)
+    "simulate",       # activity-traced simulation (energy, calibration)
     "energy_model",   # folding activity traces through the energy model
+    "rtl_elaborate",  # core elaboration + area audit (calibration)
     "test_cost",      # the analytical test-cost model (ATPG-backed)
 )
 

@@ -160,7 +160,7 @@ def summarize_trace(records: list[dict]) -> dict:
                 }
             elif name == "calibration":
                 entry["calibrations"].append({
-                    "config": data.get("config"),
+                    "config": record.get("config"),
                     "workload": data.get("workload"),
                     "cycles_delta": data.get("cycles_delta"),
                     "area_ratio": data.get("area_ratio"),

@@ -51,36 +51,6 @@ def test_list_shows_energy_objectives_and_technologies(capsys):
     assert "objectives:" not in out
 
 
-def test_energy_breakdown_command(capsys):
-    code, out, _ = _run(capsys, "energy", "gcd", "--space", "small",
-                        "--index", "1")
-    assert code == 0
-    assert "energy report: gcd" in out
-    assert "bus0" in out and "fetch" in out and "leakage" in out
-    assert "total" in out and "share" in out
-
-
-def test_energy_command_rejects_bad_index(capsys):
-    code, _, err = _run(capsys, "energy", "gcd", "--index", "99")
-    assert code == 1
-    assert "outside space" in err
-
-
-def test_energy_command_rejects_unmappable_workload(capsys):
-    # fir needs a multiplier; the small space has none
-    code, _, err = _run(capsys, "energy", "fir", "--space", "small")
-    assert code == 1
-    assert "does not compile" in err
-
-
-def test_energy_command_clean_error_on_cycle_budget(capsys):
-    code, _, err = _run(capsys, "energy", "gcd", "--space", "small",
-                        "--index", "3", "--max-cycles", "10")
-    assert code == 1
-    assert "error:" in err and "no halt" in err
-    assert "Traceback" not in err
-
-
 def test_study_with_energy_objective(capsys):
     code, out, _ = _run(
         capsys, "study", "--workloads", "gcd", "--space", "small",
@@ -287,23 +257,26 @@ def test_trace_rejects_corrupt_file(capsys, tmp_path):
     assert "meta" in err
 
 
-def test_energy_metrics_out(capsys, tmp_path):
-    """``energy --trace`` carries the whole metrics snapshot, histograms
-    included, in its run's ``metrics`` event."""
-    trace = tmp_path / "energy.jsonl"
-    code, out, _ = _run(
-        capsys, "energy", "gcd", "--space", "small", "--index", "5",
-        "--trace", str(trace),
+def test_study_calibrate_traces_its_simulations(capsys, tmp_path):
+    """A calibrated study times every calibration's traced simulation
+    in its run's ``metrics`` event: one ``simulate`` and one
+    ``energy_model`` call per calibrated front point."""
+    trace = tmp_path / "calibrated.jsonl"
+    code, _, _ = _run(
+        capsys, "study", "--workloads", "gcd", "--space", "small",
+        "--calibrate", "--no-cache", "-q", "--trace", str(trace),
     )
     assert code == 0
     code, out, _ = _run(
         capsys, "trace", "summarize", str(trace), "--format", "json",
     )
     assert code == 0
-    snapshot = json.loads(out)["runs"][0]["metrics"]
-    assert "simulate" in snapshot["phases"]
-    assert "energy_model" in snapshot["phases"]
-    assert snapshot["histograms"]["eval_seconds"]["count"] == 1
+    run = json.loads(out)["runs"][0]
+    calibrated = len(run["calibrations"])
+    assert calibrated > 0
+    phases = run["metrics"]["phases"]
+    assert phases["simulate"]["calls"] == calibrated
+    assert phases["energy_model"]["calls"] == calibrated
 
 
 def test_rtl_emit_json(capsys):
@@ -362,12 +335,30 @@ def test_rtl_calibrate_text_and_json(capsys):
     assert report["cycles_delta"] == 0
 
 
+def test_energy_breakdown_command(capsys):
+    # the calibration's traced simulation prints its energy breakdown
+    code, out, _ = _run(capsys, "rtl", "calibrate", "gcd", "--space", "small",
+                        "--index", "1")
+    assert code == 0
+    assert "energy report: gcd" in out
+    assert "bus0" in out and "fetch" in out and "leakage" in out
+    assert "total" in out and "share" in out
+
+
 def test_rtl_calibrate_rejects_unmappable_workload(capsys):
     # fir needs a multiplier the small space's first point lacks
     code, _, err = _run(capsys, "rtl", "calibrate", "fir", "--space", "small",
                         "--index", "0")
     assert code == 1
     assert "does not map" in err
+
+
+def test_rtl_calibrate_clean_error_on_cycle_budget(capsys):
+    code, _, err = _run(capsys, "rtl", "calibrate", "gcd", "--space", "small",
+                        "--index", "3", "--max-cycles", "10")
+    assert code == 1
+    assert "error:" in err and "no halt" in err
+    assert "Traceback" not in err
 
 
 def test_study_calibrate_flag(capsys):

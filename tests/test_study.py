@@ -766,6 +766,9 @@ def test_legacy_shims_removed():
         ["study", "--metrics-out", "x"],
         ["energy", "gcd", "--metrics-out", "x"],
         ["jobs", "--server", "s", "--stats"],
+        # One point report: ``rtl calibrate`` prints the energy
+        # breakdown, so the ``energy`` subcommand is gone.
+        ["energy", "gcd", "--space", "small"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -855,3 +858,29 @@ def test_study_calibrate_front_audits_base_front():
         assert report.ok
         assert report.cycles_delta == 0
         assert report.config in labels
+
+
+def test_energy_and_calibration_share_one_simulation(monkeypatch):
+    """With an energy objective and calibration, each base-front point
+    is simulated once: the energy axis reads the calibration's run and
+    gets exactly the energies an uncalibrated study attaches."""
+    from repro.tta.simulator import TTASimulator
+
+    spec = StudySpec(
+        name="shared-sim", workloads=("gcd",), space="small",
+        objectives=("area", "cycles", "energy"),
+    )
+    plain = {p.label: p.energy for p in run_study(spec).single.pareto}
+
+    calls = []
+    original = TTASimulator.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TTASimulator, "run", counted)
+    run = run_study(spec, calibrate_front=True).single
+    assert run.calibrations
+    assert len(calls) == len(run.calibrations)
+    assert {p.label: p.energy for p in run.pareto} == plain

@@ -388,6 +388,10 @@ class TestTraceContents:
         summary = summarize_trace(records)
         calibrations = summary["runs"][0]["calibrations"]
         assert len(calibrations) == len(events)
+        # the tracer lifts ``config`` to the record's top level
+        assert [c["config"] for c in calibrations] == [
+            e["config"] for e in events
+        ]
         for entry in calibrations:
             assert entry["ok"] and entry["cycles_delta"] == 0
         text = format_trace_summary(summary)
