@@ -431,8 +431,8 @@ def _cache_stats_text(cache: ResultCache) -> str:
         )
     else:
         lines.append(
-            "lifetime: no persisted counters yet (runs record them "
-            "on completion)"
+            "lifetime: no persisted counters yet (the study server "
+            "records them)"
         )
     return "\n".join(lines)
 

@@ -34,6 +34,7 @@ def exploration_rows(points: list[EvaluatedPoint]) -> list[dict]:
                 "registers": p.config.total_registers,
                 "area": p.area,
                 "cycles": p.cycles,
+                "code_size": p.code_size,
                 "test_cost": p.test_cost,
                 "energy": p.energy,
                 "feasible": p.feasible,
@@ -59,6 +60,8 @@ def point_from_row(row: dict) -> EvaluatedPoint:
         config = json.loads(config)
     cycles = row.get("cycles")
     cycles = None if cycles in (None, "") else int(cycles)
+    code_size = row.get("code_size")
+    code_size = None if code_size in (None, "") else int(code_size)
     test_cost = row.get("test_cost")
     test_cost = None if test_cost in (None, "") else int(test_cost)
     energy = row.get("energy")
@@ -67,6 +70,7 @@ def point_from_row(row: dict) -> EvaluatedPoint:
         config=ArchConfig.from_dict(config),
         area=float(row["area"]),
         cycles=cycles,
+        code_size=code_size,
         test_cost=test_cost,
         energy=energy,
     )

@@ -3,10 +3,12 @@
 The package is the robustness layer under the study engine:
 
 * :mod:`repro.resilience.policy` — :class:`FaultPolicy` (``fail_fast``
-  | ``skip`` | ``retry`` with backoff and per-point timeouts) and the
-  structured :class:`FailedPoint` record;
+  | ``skip`` | ``retry``, with a fixed serial backoff and per-point
+  pool timeouts) and the structured :class:`FailedPoint` record;
 * :mod:`repro.resilience.isolation` — the fault-isolated serial guard
-  and pool supervisor behind ``iter_evaluations``;
+  and the pool supervisor, whose ``(index, outcome)`` stream the study
+  evaluator consumes; cancellation ends it with
+  :class:`StudyInterrupted` once every finished outcome is yielded;
 * :mod:`repro.resilience.checkpoint` — :class:`CheckpointManager`
   (the recorded points ``Study.resume`` replays every strategy
   through) and :class:`CancelToken`;
@@ -21,7 +23,6 @@ from repro.resilience.checkpoint import (
     StudyInterrupted,
 )
 from repro.resilience.isolation import (
-    SweepInterrupted,
     WorkerCrash,
     call_guarded,
     iter_pool_isolated,
@@ -42,7 +43,6 @@ __all__ = [
     "FailedPoint",
     "FaultPolicy",
     "StudyInterrupted",
-    "SweepInterrupted",
     "WorkerCrash",
     "call_guarded",
     "iter_pool_isolated",

@@ -11,16 +11,16 @@ re-evaluating anything that finished.  A per-run ``"strategy"`` entry,
 which older files carry, is ignored.
 
 The :class:`CheckpointManager` always exists inside a running
-:class:`~repro.study.engine.Study` (it is also how an interrupted run
-assembles its partial result); it only touches disk when given a path,
-writing atomically (temp file + rename) every ``every`` recorded
-points and at run boundaries.
+:class:`~repro.study.engine.Study` as its checkpoint writer; it only
+touches disk when given a path, writing atomically (temp file +
+rename) every ``every`` recorded points and at run boundaries.
 
 :class:`CancelToken` is the cooperative cancellation handle: the
-evaluator checks it before costing anything fresh and raises
-:class:`StudyInterrupted`, which the study converts into a
-partial-but-valid result flagged ``interrupted=True``.  Tokens can
-self-trip after N fresh evaluations (``after_points``) — the
+evaluator and the pool supervisor check it, and either ends the
+evaluation stream with :class:`StudyInterrupted` once every finished
+point is recorded; the study converts that into a partial-but-valid
+result flagged ``interrupted=True``.  Tokens can self-trip after N
+fresh evaluations (``after_points``) — the
 deterministic mid-wave kill the resilience tests and CI smoke job use.
 """
 
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class StudyInterrupted(Exception):
-    """Raised inside the engine when a cancel token trips.
+    """Ends the evaluation stream when a cancel token trips.
 
     ``Study.run()`` catches it (and ``KeyboardInterrupt``) and returns
     the partial result; it only escapes to callers driving the
@@ -102,8 +102,8 @@ class CheckpointManager:
 
     Per run label the manager keeps the evaluated points (cache-entry
     dicts keyed by config label), the failures and a done flag.
-    ``path=None`` keeps everything in memory — the interrupted-run
-    partial result still works, only resume-after-kill needs the file.
+    ``path=None`` keeps everything in memory and writes nothing; only
+    resume-after-kill needs the file.
     """
 
     def __init__(

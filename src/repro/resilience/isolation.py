@@ -1,17 +1,17 @@
 """Fault-isolated evaluation fan-out: serial guard and pool supervisor.
 
-The engine's :func:`~repro.study.engine.iter_evaluations` routes both
-of its paths through here so one bad configuration can no longer abort
-a sweep:
+The study evaluator (:class:`~repro.study.engine.CachedEvaluator`)
+routes both of its fan-out paths through here so one bad configuration
+can no longer abort a sweep:
 
 * :func:`call_guarded` wraps one serial evaluation in the
   :class:`~repro.resilience.policy.FaultPolicy` attempt loop;
 * :func:`iter_pool_isolated` replaces ``pool.map`` with
-  ``submit``/``wait`` plus an **ordered reassembly buffer**: results
-  are yielded strictly in submission order no matter how the pool
-  interleaves completions, so streaming consumers (cache writes,
-  telemetry merges, trace events) keep the deterministic order the
-  chunked map gave them — while the supervisor retries failures,
+  ``submit``/``wait`` plus an **ordered reassembly buffer**: it yields
+  ``(index, outcome)`` pairs strictly in submission order no matter
+  how the pool interleaves completions, so streaming consumers (cache
+  writes, telemetry merges, trace events) keep the deterministic order
+  the chunked map gave them — while the supervisor retries failures,
   enforces per-point wall-clock deadlines, and resurrects the pool
   when a worker dies (``BrokenProcessPool``).
 
@@ -23,8 +23,10 @@ per policy) and no innocent neighbour burns its attempt budget.
 Cancellation (a :class:`~repro.resilience.checkpoint.CancelToken`-
 shaped object, or ``KeyboardInterrupt`` landing in the supervisor
 loop) *drains*: running futures are awaited, queued ones cancelled,
-and :class:`SweepInterrupted` carries every drained-but-unyielded
-result home so a checkpoint keeps the whole wave's finished work.
+every finished pair not yet yielded follows in index order, and the
+stream ends with :class:`~repro.resilience.checkpoint.StudyInterrupted`
+— the ending the serial path's token check gives too — so a checkpoint
+keeps the whole wave's finished work.
 """
 
 from __future__ import annotations
@@ -34,27 +36,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator
 
+from repro.resilience.checkpoint import StudyInterrupted
 from repro.resilience.policy import FAIL_FAST, FailedPoint, FaultPolicy
 
 __all__ = [
-    "SweepInterrupted",
     "WorkerCrash",
     "call_guarded",
     "iter_pool_isolated",
 ]
-
-
-class SweepInterrupted(Exception):
-    """A sweep stopped early (cancel token or keyboard interrupt).
-
-    ``completed`` maps *submission index -> finished outcome* for every
-    result that was drained but not yet yielded — the caller records
-    them so an interrupted run loses nothing that finished.
-    """
-
-    def __init__(self, completed: dict[int, object] | None = None) -> None:
-        super().__init__("sweep interrupted")
-        self.completed = completed or {}
 
 
 class WorkerCrash(RuntimeError):
@@ -104,16 +93,17 @@ def iter_pool_isolated(
     policy: FaultPolicy | None = None,
     token=None,
     on_retry: Callable[[object, int, BaseException], None] | None = None,
-) -> Iterator[object]:
-    """Yield ``fn(config)`` results in submission order, fault-isolated.
+) -> Iterator[tuple[int, object]]:
+    """Yield ``(index, fn(configs[index]))`` in submission order.
 
     Results stream as soon as they are *next in order*; later
     completions park in the reassembly buffer.  Failures follow
     ``policy`` (resubmission for ``retry``, a :class:`FailedPoint`
     yielded in the failed config's slot for ``skip``); a worker death
-    rebuilds the pool and switches to solo submission.  Raises
-    :class:`SweepInterrupted` on cancellation after draining in-flight
-    work.
+    rebuilds the pool and switches to solo submission.  Cancellation
+    drains the in-flight work, yields every finished pair not yet
+    yielded in index order, and ends the stream with
+    :class:`StudyInterrupted`.
     """
     policy = policy or FAIL_FAST
     total = len(configs)
@@ -163,8 +153,9 @@ def iter_pool_isolated(
             return
         failed_exc[index] = exc
 
-    def drain() -> dict[int, object]:
-        """Await running futures, cancel queued ones, keep results."""
+    def drain() -> Iterator[tuple[int, object]]:
+        """Await running futures, cancel queued ones, yield what
+        finished in index order, then end the stream."""
         for future in list(pending):
             index = pending.pop(future)
             if future.cancel():
@@ -173,7 +164,9 @@ def iter_pool_isolated(
                 results[index] = future.result()
             except Exception:
                 pass            # a failure while draining: simply lost
-        return results
+        for index in sorted(results):
+            yield index, results[index]
+        raise StudyInterrupted() from None
 
     def rebuild_pool() -> None:
         nonlocal pool, window
@@ -193,15 +186,14 @@ def iter_pool_isolated(
     try:
         while next_out < total:
             while next_out in results:
-                outcome = results.pop(next_out)
+                yield next_out, results.pop(next_out)
                 next_out += 1
-                yield outcome
             if next_out < total and failed_exc[next_out] is not None:
                 raise failed_exc[next_out]
             if next_out >= total:
                 break
             if _cancelled(token):
-                raise SweepInterrupted(drain())
+                yield from drain()
             if orphans:
                 orphans.difference_update(
                     {f for f in orphans if f.done()}
@@ -269,6 +261,6 @@ def iter_pool_isolated(
                         ),
                     )
     except KeyboardInterrupt:
-        raise SweepInterrupted(drain()) from None
+        yield from drain()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -10,16 +10,16 @@ policy; it is an ordinary infeasible point):
   behaviour, and the default);
 * ``skip``      — record the point as a :class:`FailedPoint` and keep
   sweeping;
-* ``retry``     — re-evaluate up to ``max_retries`` extra times with
-  exponential backoff, then record a :class:`FailedPoint`.
+* ``retry``     — re-evaluate up to ``max_retries`` extra times, then
+  record a :class:`FailedPoint`.
 
 ``timeout`` bounds one point's wall clock on the process-pool path
 (a worker stuck past the deadline is treated as a failure under the
 same mode); the serial path cannot preempt a running evaluation, so
 timeouts are a pool-only guarantee.
 
-Both classes are plain data, JSON-round-trippable, and free of heavy
-imports so the evaluation hot path can reference them without cost.
+Both classes are plain data, free of heavy imports so the evaluation
+hot path can reference them without cost.
 """
 
 from __future__ import annotations
@@ -31,15 +31,22 @@ from dataclasses import dataclass, field
 #: The modes :class:`FaultPolicy` accepts.
 MODES = ("fail_fast", "skip", "retry")
 
+#: Serial retry backoff: the first retry waits ``BACKOFF`` seconds,
+#: each further one ``BACKOFF_FACTOR`` times longer.
+BACKOFF = 0.05
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How one study treats a configuration whose evaluation dies."""
+    """How one study treats a configuration whose evaluation dies.
+
+    The retry backoff (:data:`BACKOFF`) applies to serial retries only;
+    the pool supervisor resubmits a failed point at once.
+    """
 
     mode: str = "fail_fast"
     max_retries: int = 2          # extra attempts in ``retry`` mode
-    backoff: float = 0.05         # first retry delay, seconds
-    backoff_factor: float = 2.0   # delay multiplier per further retry
     timeout: float | None = None  # per-point wall clock, pool path only
 
     def __post_init__(self) -> None:
@@ -50,8 +57,6 @@ class FaultPolicy:
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0, backoff_factor >= 1")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
 
@@ -61,30 +66,8 @@ class FaultPolicy:
         return 1 + (self.max_retries if self.mode == "retry" else 0)
 
     def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (the first retry is 1)."""
-        return self.backoff * self.backoff_factor ** (attempt - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "max_retries": self.max_retries,
-            "backoff": self.backoff,
-            "backoff_factor": self.backoff_factor,
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FaultPolicy:
-        return cls(
-            mode=str(data.get("mode", "fail_fast")),
-            max_retries=int(data.get("max_retries", 2)),
-            backoff=float(data.get("backoff", 0.05)),
-            backoff_factor=float(data.get("backoff_factor", 2.0)),
-            timeout=(
-                None if data.get("timeout") is None
-                else float(data["timeout"])
-            ),
-        )
+        """Serial backoff before retry ``attempt`` (the first retry is 1)."""
+        return BACKOFF * BACKOFF_FACTOR ** (attempt - 1)
 
 
 #: The default policy: exactly the pre-resilience behaviour.
@@ -109,8 +92,8 @@ class FailedPoint:
     """One configuration whose evaluation died (after all attempts).
 
     ``config`` is the :meth:`~repro.explore.space.ArchConfig.to_dict`
-    form, so records round-trip through JSON checkpoints; ``label`` is
-    the human-readable config label used everywhere else.
+    form, so records serialise into JSON checkpoints; ``label`` is the
+    human-readable config label used everywhere else.
     """
 
     config: dict = field(hash=False)
@@ -143,17 +126,6 @@ class FailedPoint:
             "digest": self.digest,
             "attempts": self.attempts,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FailedPoint:
-        return cls(
-            config=dict(data.get("config", {})),
-            label=str(data.get("label", "")),
-            error_type=str(data.get("error_type", "")),
-            message=str(data.get("message", "")),
-            digest=str(data.get("digest", "")),
-            attempts=int(data.get("attempts", 1)),
-        )
 
     def __str__(self) -> str:
         return (

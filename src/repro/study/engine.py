@@ -43,11 +43,7 @@ from repro.resilience.checkpoint import (
     CheckpointManager,
     StudyInterrupted,
 )
-from repro.resilience.isolation import (
-    SweepInterrupted,
-    call_guarded,
-    iter_pool_isolated,
-)
+from repro.resilience.isolation import call_guarded, iter_pool_isolated
 from repro.resilience.policy import FAIL_FAST, FailedPoint, FaultPolicy
 from repro.study.objectives import (
     Objective,
@@ -114,82 +110,6 @@ class RunStats:
     histograms: dict = field(default_factory=dict)
 
 
-# ----------------------------------------------------------------------
-# evaluation fan-out (shared by the serial loop and the process pool)
-# ----------------------------------------------------------------------
-def iter_evaluations(
-    configs: list[ArchConfig],
-    context: EvaluationContext,
-    workers: int,
-    policy: FaultPolicy | None = None,
-    token: CancelToken | None = None,
-    on_retry: Callable | None = None,
-) -> Iterator[EvaluatedPoint | FailedPoint]:
-    """Yield evaluation outcomes in configuration order, streaming.
-
-    Streaming matters for resumability: the caller persists each point
-    as it arrives, so a killed run keeps everything that finished
-    rather than losing the whole sweep.  The serial path evaluates
-    through the caller's sweep ``context`` (batch-per-wave strategies
-    reuse its shared-work caches across batches); the pool path ships
-    the context's (workload, profile, width) to each worker once and
-    submits through the fault-isolated supervisor (:func:`~repro.
-    resilience.isolation.iter_pool_isolated`), whose ordered
-    reassembly buffer yields in submission order no matter how
-    completions interleave.
-
-    Under a ``skip``/``retry`` :class:`FaultPolicy` a configuration
-    whose evaluation dies yields a :class:`FailedPoint` in its slot
-    instead of aborting the sweep; ``fail_fast`` (the default)
-    propagates the exception exactly as before.  ``token`` cancellation
-    raises :class:`StudyInterrupted` (serial) or
-    :class:`~repro.resilience.isolation.SweepInterrupted` carrying the
-    drained results (pool).
-
-    Telemetry goes to the context's collector: the serial path records
-    into it directly, and on the pool path each configuration's
-    phase/counter delta travels back with its point and is merged
-    here, in submission order, so the merged counters do not depend on
-    pool scheduling.  Outcomes drained into a :class:`~repro.
-    resilience.isolation.SweepInterrupted` are merged and unwrapped the
-    same way.
-    """
-    if workers <= 1 or len(configs) <= 1:
-        for config in configs:
-            if token is not None:
-                token.raise_if_cancelled()
-            yield call_guarded(
-                context.evaluate, config, policy, on_retry=on_retry
-            )
-        return
-
-    def collect(outcome):
-        if isinstance(outcome, FailedPoint):
-            return outcome
-        point, snapshot = outcome
-        context.metrics.merge(snapshot)
-        return point
-
-    try:
-        for outcome in iter_pool_isolated(
-            configs,
-            evaluate_config_worker,
-            init_evaluation_worker,
-            (context.workload, context.profile, context.width),
-            min(workers, len(configs)),
-            policy=policy,
-            token=token,
-            on_retry=on_retry,
-        ):
-            yield collect(outcome)
-    except SweepInterrupted as exc:
-        exc.completed = {
-            index: collect(outcome)
-            for index, outcome in sorted(exc.completed.items())
-        }
-        raise
-
-
 class CachedEvaluator:
     """The strategies' evaluation front-end: context + cache + pool.
 
@@ -198,7 +118,9 @@ class CachedEvaluator:
     cache before compiling anything, streams fresh points back into the
     cache as they arrive (the resume story), and fans batch requests out
     over a process pool when ``workers > 1``.  Counts hits and fresh
-    evaluations for the run statistics.
+    evaluations for the run statistics, and keeps every point it hands
+    out in ``points`` (config label -> point): an interrupted run's
+    partial result.
 
     Telemetry (both default to their null objects, which record
     nothing): ``metrics`` collects phase timers (through the context
@@ -226,7 +148,7 @@ class CachedEvaluator:
         policy: FaultPolicy | None = None,
         token: CancelToken | None = None,
         manager: CheckpointManager | None = None,
-        overlay: dict[str, dict] | None = None,
+        overlay: dict[str, EvaluatedPoint] | None = None,
     ) -> None:
         self.workload_name = workload_name
         self.workload = workload
@@ -250,6 +172,7 @@ class CachedEvaluator:
         self.token = token
         self.manager = manager
         self.overlay = overlay or {}
+        self.points: dict[str, EvaluatedPoint] = dict(self.overlay)
         self.failures: list[FailedPoint] = []
         self.cache_hits = 0
         self.evaluated = 0
@@ -281,16 +204,9 @@ class CachedEvaluator:
 
     def _lookup(self, config: ArchConfig) -> EvaluatedPoint | None:
         if self.overlay:
-            entry = self.overlay.get(config.label())
-            if entry is not None:
-                try:
-                    point = decode_entry(
-                        entry, self.march, self.energy_model
-                    )
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    point = None
-                if point is not None:
-                    return point
+            point = self.overlay.get(config.label())
+            if point is not None:
+                return point
         if self.cache is None:
             return None
         return self.cache.get(
@@ -299,11 +215,15 @@ class CachedEvaluator:
         )
 
     def _remember(self, point: EvaluatedPoint) -> None:
-        """Record one completed point into the study checkpoint."""
-        if self.manager is not None and not point.failed:
+        """Keep one completed point and record it into the checkpoint."""
+        if point.failed:
+            return
+        label = point.label
+        self.points[label] = point
+        if self.manager is not None:
             self.manager.record_point(
                 self.label,
-                point.label,
+                label,
                 encode_entry(
                     self.workload_name, point, self.width, self.march,
                     self.energy_model,
@@ -369,33 +289,53 @@ class CachedEvaluator:
             self.token.tick()
         return point
 
-    def evaluate(self, config: ArchConfig) -> EvaluatedPoint:
-        """Cost one configuration, cache-first."""
-        if self.token is not None:
-            self.token.raise_if_cancelled()
-        self.metrics.count("proposed")
-        cached = self._lookup(config)
-        if cached is not None:
-            self.cache_hits += 1
-            self.metrics.count("cache_hits")
-            self._trace_point(cached, "cache")
-            self._remember(cached)
-            return cached
-        self.metrics.count("evaluated")
-        outcome = call_guarded(
-            self.context.evaluate, config, self.policy,
-            on_retry=self._on_retry,
-        )
-        return self._accept(outcome)
+    def _fresh(
+        self, configs: list[ArchConfig], workers: int
+    ) -> Iterator[tuple[int, EvaluatedPoint | FailedPoint]]:
+        """Evaluate ``configs``, yielding ``(index, outcome)`` in order.
 
-    def evaluate_many(
-        self, configs: list[ArchConfig]
+        Serially through the evaluator's own context (batch-per-wave
+        strategies reuse its shared-work caches), with a token check per
+        configuration; or through the fault-isolated pool supervisor,
+        merging each point's telemetry delta in submission order so the
+        counters do not depend on pool scheduling.  An outcome is a
+        :class:`FailedPoint` when a ``skip``/``retry`` policy gave up;
+        cancellation ends either stream with :class:`StudyInterrupted`.
+        """
+        if workers <= 1:
+            for index, config in enumerate(configs):
+                if self.token is not None:
+                    self.token.raise_if_cancelled()
+                yield index, call_guarded(
+                    self.context.evaluate, config, self.policy,
+                    on_retry=self._on_retry,
+                )
+            return
+        for index, outcome in iter_pool_isolated(
+            configs,
+            evaluate_config_worker,
+            init_evaluation_worker,
+            (self.workload, self.profile, self.width),
+            workers,
+            policy=self.policy,
+            token=self.token,
+            on_retry=self._on_retry,
+        ):
+            if not isinstance(outcome, FailedPoint):
+                outcome, snapshot = outcome
+                self.metrics.merge(snapshot)
+            yield index, outcome
+
+    def _evaluate(
+        self, configs: list[ArchConfig], wave: int | None = None
     ) -> list[EvaluatedPoint]:
-        """Cost an ordered batch, cache-first, fanning out the misses."""
+        """Cost ``configs`` in order, cache-first, fanning out the misses.
+
+        ``wave`` is the batch number of an :meth:`evaluate_many` call;
+        only a batch reports a progress line and a ``wave`` event.
+        """
         if self.token is not None:
             self.token.raise_if_cancelled()
-        wave = self.wave
-        self.wave += 1
         points: list[EvaluatedPoint | None] = [None] * len(configs)
         missing: list[int] = []
         for i, config in enumerate(configs):
@@ -415,47 +355,43 @@ class CachedEvaluator:
         # run on the evaluator's own long-lived context.
         serial = self.workers <= 1 or len(missing) <= self.workers
         workers = 1 if serial else self.workers
-        if self.progress is not None:
-            self.progress(
-                f"{self.label}: {len(configs) - len(missing)} cached, "
-                f"evaluating {len(missing)} of {len(configs)} points "
-                f"({workers} worker{'s' if workers != 1 else ''})"
+        if wave is not None:
+            if self.progress is not None:
+                self.progress(
+                    f"{self.label}: {len(configs) - len(missing)} cached, "
+                    f"evaluating {len(missing)} of {len(configs)} points "
+                    f"({workers} worker{'s' if workers != 1 else ''})"
+                )
+            self.tracer.event(
+                "wave",
+                run=self.label,
+                wave=wave,
+                requested=len(configs),
+                cached=len(configs) - len(missing),
+                fresh=len(missing),
+                workers=workers,
             )
-        self.tracer.event(
-            "wave",
-            run=self.label,
-            wave=wave,
-            requested=len(configs),
-            cached=len(configs) - len(missing),
-            fresh=len(missing),
-            workers=workers,
-        )
         for point in points:
             if point is not None:
                 self._trace_point(point, "cache", wave)
                 self._remember(point)
-        if missing:
-            fresh = iter_evaluations(
-                [configs[i] for i in missing],
-                self.context,
-                workers,
-                policy=self.policy,
-                token=self.token,
-                on_retry=self._on_retry,
-            )
-            done = 0
-            try:
-                for outcome in fresh:
-                    points[missing[done]] = self._accept(outcome, wave)
-                    done += 1
-            except SweepInterrupted as exc:
-                # The pool drained: record what finished but was not
-                # yet yielded, then surface the interruption — the
-                # study turns it into a partial result.
-                for sub_index, outcome in sorted(exc.completed.items()):
-                    points[missing[sub_index]] = self._accept(outcome, wave)
-                raise StudyInterrupted() from None
+        for index, outcome in self._fresh(
+            [configs[i] for i in missing], workers
+        ):
+            points[missing[index]] = self._accept(outcome, wave)
         return points
+
+    def evaluate(self, config: ArchConfig) -> EvaluatedPoint:
+        """Cost one configuration, cache-first."""
+        return self._evaluate([config])[0]
+
+    def evaluate_many(
+        self, configs: list[ArchConfig]
+    ) -> list[EvaluatedPoint]:
+        """Cost an ordered batch (one wave), cache-first."""
+        wave = self.wave
+        self.wave += 1
+        return self._evaluate(configs, wave)
 
 
 # ----------------------------------------------------------------------
@@ -683,18 +619,19 @@ class Study:
         #: default (fail_fast) is exactly the pre-resilience behaviour.
         self.policy = policy or FAIL_FAST
         self.cancel = cancel
-        # The manager always exists: with no checkpoint path it stays
-        # in memory, which is what lets an interrupted run assemble a
-        # partial-but-valid result from the points that finished.
-        # Passing one in (``manager=``) is how resume and the service
-        # layer observe or pre-load recorded points.
+        # The manager is the checkpoint writer; with no checkpoint path
+        # it stays in memory.  Passing one in (``manager=``) is how
+        # resume and the service layer observe or pre-load recorded
+        # points.
         if manager is not None:
             self.manager = manager
         else:
             self.manager = CheckpointManager(
                 spec.to_dict(), path=checkpoint, every=checkpoint_every
             )
-        self._current: dict | None = None
+        #: The in-progress run as (evaluator, started, total), which is
+        #: all an interrupted run's partial result needs.
+        self._current: tuple[CachedEvaluator, float, int] | None = None
 
     @classmethod
     def resume(
@@ -774,6 +711,16 @@ class Study:
         energy_model = tech.fingerprint() if needs_energy else None
         label = f"{workload_name}/{spec.space_label}/w{spec.width}"
         metrics = MetricsCollector() if self.collect_metrics else NULL_METRICS
+        # A resumed checkpoint's points, decoded once; a torn entry is
+        # skipped and simply evaluated again.
+        overlay: dict[str, EvaluatedPoint] = {}
+        for config_label, entry in self.manager.points(label).items():
+            try:
+                point = decode_entry(entry, march, energy_model)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                point = None
+            if point is not None:
+                overlay[config_label] = point
         cache_stats = getattr(self.cache, "stats", None)
         cache_before = (
             cache_stats.as_dict() if cache_stats is not None else None
@@ -795,18 +742,9 @@ class Study:
             policy=self.policy,
             token=self.cancel,
             manager=self.manager,
-            overlay=dict(self.manager.points(label)),
+            overlay=overlay,
         )
-        # Everything _partial_run needs to assemble an interrupted
-        # run's result — the strategy's outcome is lost when the
-        # interruption propagates, but the checkpointed points are not.
-        self._current = {
-            "label": label,
-            "workload": workload_name,
-            "started": started,
-            "total": len(configs),
-            "evaluator": evaluator,
-        }
+        self._current = (evaluator, started, len(configs))
         job = SearchJob(
             space=configs,
             evaluate=evaluator.evaluate,
@@ -881,44 +819,32 @@ class Study:
         """The in-progress run's finished points, as a valid StudyRun.
 
         Called from the interrupt handler: the strategy's outcome never
-        materialised, so the point list is rebuilt from the checkpoint
-        manager's records for this run (every completed point was
-        recorded as it arrived).  No selection, no post-pass attachment
-        — a partial run reports what finished, nothing more.
+        materialised, so the point list is the evaluator's kept points
+        (every hit and fresh point, in the order the checkpoint
+        recorded them).  No selection, no post-pass attachment — a
+        partial run reports what finished, nothing more.
         """
-        cur = self._current
-        if cur is None:
+        if self._current is None:
             return None
+        evaluator, started, total = self._current
         spec = self.spec
-        evaluator: CachedEvaluator = cur["evaluator"]
-        points: list[EvaluatedPoint] = []
-        for entry in self.manager.points(cur["label"]).values():
-            try:
-                point = decode_entry(
-                    entry, evaluator.march, evaluator.energy_model
-                )
-            except (ValueError, KeyError, TypeError, AttributeError):
-                point = None
-            if point is not None:
-                points.append(point)
+        points = list(evaluator.points.values())
         result = ExplorationResult(
-            workload=cur["workload"], profile=evaluator.profile,
+            workload=evaluator.workload_name, profile=evaluator.profile,
             points=points,
         )
         # The in-progress wave's telemetry would otherwise be lost: the
         # final snapshot is traced like a finished run's, followed by
         # the interruption marker, so an interrupted trace summarises.
-        stats = self._run_stats(
-            cur["label"], evaluator, cur["total"], cur["started"]
-        )
+        stats = self._run_stats(evaluator.label, evaluator, total, started)
         self.tracer.event(
             "interrupted",
-            run=cur["label"],
+            run=evaluator.label,
             completed=len(points),
-            total=cur["total"],
+            total=total,
         )
         return StudyRun(
-            workload=cur["workload"],
+            workload=evaluator.workload_name,
             space=spec.space_label,
             width=spec.width,
             objectives=spec.objectives,

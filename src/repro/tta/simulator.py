@@ -42,6 +42,9 @@ from repro.util.bitops import mask
 #: instructions have issued).
 BRANCH_DELAY_SLOTS = 1
 
+#: Data-memory size in words; every LSU address must fall below it.
+DMEM_WORDS = 65536
+
 #: LSU opcode -> read-extension mode.
 _LSU_MODE = {
     "ld": "word",
@@ -87,18 +90,14 @@ class TTASimulator:
         self,
         arch: Architecture,
         program: Program,
-        dmem_words: int = 65536,
-        trace: bool = False,
         activity: bool = False,
     ):
         self.arch = arch
         self.program = program
-        self.trace = trace
         self._width_mask = mask(arch.width)
         self.dmem = dict(program.data)
-        self.dmem_words = dmem_words
         for addr in self.dmem:
-            if not 0 <= addr < dmem_words:
+            if not 0 <= addr < DMEM_WORDS:
                 raise SimulationError(f"data image address {addr} out of range")
         self.guards = [0] * arch.num_guard_regs
         self._fu: dict[str, _FUState] = {}
@@ -116,7 +115,6 @@ class TTASimulator:
         self.pc = 0
         self.cycle = 0
         self._pending_jump: tuple[int, int] | None = None
-        self._trace_lines: list[str] = []
 
         # Switching-activity tracing is opt-in: when off, ``self.activity``
         # is None and the hot path pays only dead ``is not None`` checks —
@@ -158,9 +156,6 @@ class TTASimulator:
 
     def result_of(self, unit: str) -> int:
         return self._fu[unit].result
-
-    def trace_listing(self) -> str:
-        return "\n".join(self._trace_lines)
 
     # ------------------------------------------------------------------
     # execution
@@ -264,10 +259,6 @@ class TTASimulator:
                 act.record_activation(move.dst.unit)
             self._commit_trigger(move, value)
             triggers += 1
-
-        if self.trace:
-            done = ", ".join(str(m) for m, _v in sampled) or "nop"
-            self._trace_lines.append(f"{cycle:6d} pc={self.pc:4d}: {done}")
         return len(sampled), squashed, triggers
 
     # ------------------------------------------------------------------
@@ -385,7 +376,7 @@ class TTASimulator:
     def _trigger_lsu(self, move: Move, unit, state: _FUState, addr: int) -> None:
         opcode = move.opcode or "ld"
         addr &= self._width_mask
-        if addr >= self.dmem_words:
+        if addr >= DMEM_WORDS:
             raise SimulationError(f"data address {addr:#x} out of range")
         if opcode == "st":
             wdata = state.operands.get("wdata", 0)

@@ -79,6 +79,22 @@ def test_energy_column_round_trips():
     assert bare[0].energy is None
 
 
+def test_code_size_column_round_trips():
+    point = EvaluatedPoint(
+        config=ArchConfig(num_buses=2), area=10.0, cycles=50,
+        code_size=1100,
+    )
+    for rebuilt in (
+        exploration_from_csv(exploration_to_csv([point])),
+        exploration_from_json(exploration_to_json([point])),
+    ):
+        assert rebuilt[0].code_size == 1100
+    bare = exploration_from_csv(exploration_to_csv([
+        EvaluatedPoint(config=ArchConfig(num_buses=1), area=1.0, cycles=5)
+    ]))
+    assert bare[0].code_size is None
+
+
 def test_csv_round_trips_through_from_dict():
     points = _points()
     rebuilt = exploration_from_csv(exploration_to_csv(points))

@@ -399,6 +399,19 @@ class TestCacheStatsCli:
         assert "shard" in out
         assert "1 hits / 1 lookups" in out
 
+    def test_stats_without_counters_names_the_server(self, tmp_path, capsys):
+        # A batch study fills the cache but persists no counters; only
+        # the study server writes stats.json, and the message says so.
+        assert main([
+            "study", "--workloads", "gcd", "--space", "small",
+            "--cache-dir", str(tmp_path), "-q",
+        ]) == 0
+        assert not (tmp_path / "stats.json").exists()
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "no persisted counters yet (the study server records them)" in out
+
 
 # ----------------------------------------------------------------------
 # end-to-end: real servers in subprocesses

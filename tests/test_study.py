@@ -762,6 +762,29 @@ def test_legacy_shims_removed():
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert "stats" not in protocol.OPS
+
+    # One evaluation stream: serial and pool fan-out end the same way
+    # (StudyInterrupted), with no pass-through layer in between; the
+    # serial backoff is a constant and the simulator's dead knobs are
+    # gone.
+    import repro.resilience.isolation as isolation_module
+    from repro.resilience import FailedPoint, FaultPolicy
+    from repro.tta.simulator import TTASimulator
+
+    for module, name in (
+        (repro.resilience, "SweepInterrupted"),
+        (isolation_module, "SweepInterrupted"),
+        (engine_module, "iter_evaluations"),
+        (FaultPolicy, "from_dict"),
+        (FaultPolicy, "to_dict"),
+        (FailedPoint, "from_dict"),
+        (TTASimulator, "trace_listing"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    policy_fields = {f.name for f in dataclasses.fields(FaultPolicy)}
+    assert not policy_fields & {"backoff", "backoff_factor"}
+    sim_params = inspect.signature(TTASimulator).parameters
+    assert not set(sim_params) & {"trace", "dmem_words"}
     for argv in (
         ["study", "--metrics-out", "x"],
         ["energy", "gcd", "--metrics-out", "x"],

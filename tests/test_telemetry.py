@@ -268,6 +268,22 @@ class TestInvariants:
             assert c["cache_hits"] == stats.cache_hits
             assert c["evaluated"] == stats.evaluated
 
+    def test_single_point_walk_counts_every_counter(self):
+        # Annealing costs one configuration at a time, never a batch;
+        # its run still carries all three counters, zeros included.
+        stats = run_study(
+            StudySpec(
+                name="walk", workloads=("gcd",), space="small",
+                strategy="simulated_annealing",
+                strategy_params={"max_evaluations": 10, "seed": 3},
+            ),
+            collect_metrics=True,
+        ).single.stats
+        c = stats.counters
+        assert {"proposed", "cache_hits", "evaluated"} <= set(c)
+        assert c["proposed"] == c["cache_hits"] + c["evaluated"]
+        assert c["evaluated"] == stats.evaluated
+
     def test_merged_pool_counters_deterministic(self, tmp_path):
         """workers=2 merges per-config snapshots in submission order:
         counters must match serial exactly, run after run."""
