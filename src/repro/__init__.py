@@ -91,7 +91,6 @@ from repro.explore import (
     build_architecture,
     crypt_space,
     pareto_filter,
-    pareto_filter_naive,
     select_architecture,
     small_space,
 )
@@ -218,7 +217,6 @@ __all__ = [
     "objective_names",
     "optimize_ir",
     "pareto_filter",
-    "pareto_filter_naive",
     "pareto_front",
     "register_objective",
     "register_strategy",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from repro.components.alu import OPCODE_BITS as ALU_OPCODE_BITS
 from repro.components.alu import build_alu
@@ -179,12 +178,6 @@ def imm_spec(width: int = 16) -> ComponentSpec:
 # ----------------------------------------------------------------------
 # datasheets
 # ----------------------------------------------------------------------
-_NETLIST_BUILDERS: dict[ComponentKind, Callable[..., Netlist] | None] = {
-    ComponentKind.FU: None,   # resolved per spec name below
-    ComponentKind.RF: None,   # behavioural memory; FF netlist on demand
-}
-
-
 @dataclass
 class ComponentDatasheet:
     """Spec + synthesised structure + area model for one component type."""

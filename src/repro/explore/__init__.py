@@ -28,7 +28,7 @@ from repro.explore.evaluate import (
     init_evaluation_worker,
     required_fu_opcodes,
 )
-from repro.explore.pareto import dominates, pareto_filter, pareto_filter_naive
+from repro.explore.pareto import dominates, pareto_filter
 from repro.explore.explorer import ExplorationResult
 from repro.explore.iterative import default_seeds, neighbours
 from repro.explore.selection import normalize_points, select_architecture
@@ -50,7 +50,6 @@ __all__ = [
     "neighbours",
     "normalize_points",
     "pareto_filter",
-    "pareto_filter_naive",
     "required_fu_opcodes",
     "select_architecture",
     "small_space",

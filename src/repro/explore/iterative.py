@@ -9,27 +9,16 @@ the exhaustive sweep while evaluating a fraction of the space.
 
 The search loops themselves live in :mod:`repro.study.strategies` (the
 ``iterative`` and ``simulated_annealing`` strategies); this module keeps
-the neighbourhood model they walk — :func:`neighbours`, the RF ladder
-and the default seed templates.  (The legacy ``iterative_explore()``
-entry point was a deprecation shim over the study engine and has been
-removed; use ``StudySpec(strategy="iterative")`` or
-:func:`repro.study.run_search`.)
+the neighbourhood model they walk — :func:`neighbours`, which steps
+through the Crypt space's RF arrangements, and the default seed
+templates.  (The legacy ``iterative_explore()`` entry point was a
+deprecation shim over the study engine and has been removed; use
+``StudySpec(strategy="iterative")`` or :func:`repro.study.run_search`.)
 """
 
 from __future__ import annotations
 
-from repro.explore.space import ArchConfig, RFConfig
-
-#: RF arrangements the neighbourhood can step through, small to large.
-_RF_LADDER: tuple[tuple[RFConfig, ...], ...] = (
-    (RFConfig(4),),
-    (RFConfig(8),),
-    (RFConfig(12),),
-    (RFConfig(8), RFConfig(12)),
-    (RFConfig(8, read_ports=2), RFConfig(12)),
-    (RFConfig(12, read_ports=2), RFConfig(12, read_ports=2)),
-    (RFConfig(16, read_ports=2, write_ports=2),),
-)
+from repro.explore.space import _CRYPT_RF_OPTIONS, ArchConfig, RFConfig
 
 
 def default_seeds() -> list[ArchConfig]:
@@ -37,7 +26,7 @@ def default_seeds() -> list[ArchConfig]:
     one minimal single-bus machine and one mid-range template."""
     return [
         ArchConfig(num_buses=1, rfs=(RFConfig(8),)),
-        ArchConfig(num_buses=3, num_alus=2, rfs=_RF_LADDER[3]),
+        ArchConfig(num_buses=3, num_alus=2, rfs=_CRYPT_RF_OPTIONS[3]),
     ]
 
 
@@ -68,12 +57,12 @@ def neighbours(config: ArchConfig) -> list[ArchConfig]:
     replace(num_shifters=1 - config.num_shifters)
 
     try:
-        position = _RF_LADDER.index(config.rfs)
+        position = _CRYPT_RF_OPTIONS.index(config.rfs)
     except ValueError:
         position = None
     if position is not None:
-        if position + 1 < len(_RF_LADDER):
-            replace(rfs=_RF_LADDER[position + 1])
+        if position + 1 < len(_CRYPT_RF_OPTIONS):
+            replace(rfs=_CRYPT_RF_OPTIONS[position + 1])
         if position > 0:
-            replace(rfs=_RF_LADDER[position - 1])
+            replace(rfs=_CRYPT_RF_OPTIONS[position - 1])
     return out

@@ -3,17 +3,12 @@
 The paper bounds the solution space with local optima: "Pareto points
 limit the design space such that for all (a, t) in the solution space,
 a >= a_p or t >= t_p".  All axes are costs (smaller is better).
-
-:func:`pareto_filter` is the hot-path entry point: the 2-D and 3-D
-cases (the paper's Fig. 2 and Fig. 8 planes) run as O(n log n) sorted
-sweeps, higher dimensions fall back to the quadratic reference filter.
-:func:`pareto_filter_naive` keeps the O(n^2) reference implementation
-importable — the property suite cross-checks the sweeps against it.
+:func:`pareto_filter` serves every dimension, from the paper's Fig. 2
+and Fig. 8 planes to five-objective studies.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -28,35 +23,6 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return no_worse and better
 
 
-def pareto_filter_naive(
-    items: Iterable[T],
-    key: Callable[[T], Sequence[float]],
-) -> list[T]:
-    """Reference O(n^2) non-dominated filter (any dimension).
-
-    Deterministic: input order is preserved; among items with *identical*
-    cost vectors the first is kept.  Kept as the oracle for the sorted
-    sweeps and as the fallback for cost vectors of 4+ dimensions.
-    """
-    pool = list(items)
-    costs = [tuple(key(item)) for item in pool]
-    kept: list[T] = []
-    seen: set[tuple] = set()
-    for i, item in enumerate(pool):
-        ci = costs[i]
-        if ci in seen:
-            continue
-        dominated = False
-        for j, cj in enumerate(costs):
-            if j != i and dominates(cj, ci):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(item)
-            seen.add(ci)
-    return kept
-
-
 def pareto_filter(
     items: Iterable[T],
     key: Callable[[T], Sequence[float]],
@@ -64,76 +30,24 @@ def pareto_filter(
     """Non-dominated subset of ``items`` under the cost vector ``key``.
 
     Deterministic: input order is preserved; among items with *identical*
-    cost vectors the first is kept.  O(n log n) for 1-3 cost dimensions,
-    O(n^2) beyond that.
+    cost vectors the first is kept.  Any number of cost dimensions.
+
+    One scan in (cost, index) order: every point that dominates or
+    duplicates the current one sorts before it, and a dropped one was
+    itself covered by a kept point, so the current point is dropped
+    exactly when an already-kept point is <= it on every axis.  That is
+    O(n log n + n * front); the test suite checks it against the
+    quadratic reference filter.
     """
     pool = list(items)
-    if not pool:
-        return []
     costs = [tuple(key(item)) for item in pool]
-    dim = len(costs[0])
-    if any(len(c) != dim for c in costs):
+    if any(len(c) != len(costs[0]) for c in costs):
         raise ValueError("cost vectors must have equal dimension")
-    if dim == 1:
-        best = min(costs)
-        return [pool[costs.index(best)]]
-    if dim == 2:
-        kept = _sweep_2d(costs)
-    elif dim == 3:
-        kept = _sweep_3d(costs)
-    else:
-        return pareto_filter_naive(pool, key)
-    return [pool[i] for i in sorted(kept)]
-
-
-def _sweep_2d(costs: list[tuple]) -> list[int]:
-    """Indices of the 2-D front: sort by (x, y), keep strict y minima.
-
-    After sorting, any earlier point has x' <= x, so the current point
-    is dominated (or a duplicate — also dropped) exactly when some
-    earlier point also has y' <= y, i.e. when y does not improve on the
-    running minimum.  The index tie-break makes the first input
-    occurrence of equal cost vectors the one that is kept.
-    """
-    order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
     kept: list[int] = []
-    best_y = None
-    for i in order:
-        y = costs[i][1]
-        if best_y is None or y < best_y:
+    for i in sorted(range(len(costs)), key=lambda i: (costs[i], i)):
+        cost = costs[i]
+        if not any(
+            all(k <= c for k, c in zip(costs[j], cost)) for j in kept
+        ):
             kept.append(i)
-            best_y = y
-    return kept
-
-
-def _sweep_3d(costs: list[tuple]) -> list[int]:
-    """Indices of the 3-D front via a (y, z) staircase sweep.
-
-    Points are processed in (x, y, z) order, so every potential
-    dominator of the current point has already been seen: a point is
-    dominated (or duplicates an earlier one) exactly when some kept
-    point has y' <= y and z' <= z.  Kept points form a staircase —
-    y ascending, z strictly descending — so that query is one bisect:
-    the kept point with the largest y' <= y carries the minimum z'
-    over that prefix.
-    """
-    order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
-    kept: list[int] = []
-    stair_y: list[float] = []      # ascending
-    stair_z: list[float] = []      # strictly descending, parallel to stair_y
-    for i in order:
-        _x, y, z = costs[i]
-        pos = bisect_right(stair_y, y)
-        if pos and stair_z[pos - 1] <= z:
-            continue                # dominated or duplicate
-        kept.append(i)
-        # Insert (y, z) and restore the staircase invariant: drop kept
-        # staircase entries the new point makes redundant (y' >= y and
-        # z' >= z).  Each entry is removed at most once over the whole
-        # sweep, so maintenance is amortised O(n) list traffic.
-        cut = pos
-        while cut < len(stair_y) and stair_z[cut] >= z:
-            cut += 1
-        stair_y[pos:cut] = [y]
-        stair_z[pos:cut] = [z]
-    return kept
+    return [pool[i] for i in sorted(kept)]

@@ -149,7 +149,8 @@ def build_architecture_cached(config: ArchConfig, width: int = 16) -> Architectu
     return build_architecture(config, width)
 
 
-#: Register-file arrangements offered to the Crypt exploration.
+#: Register-file arrangements offered to the Crypt exploration, small to
+#: large; the iterative walk's RF mutations step along this order.
 _CRYPT_RF_OPTIONS: tuple[tuple[RFConfig, ...], ...] = (
     (RFConfig(4),),
     (RFConfig(8),),

@@ -145,9 +145,8 @@ def pareto_front(
     measurable — infeasible, or awaiting the post-pass — are never
     candidates.
 
-    Any number of objectives is supported; :func:`repro.explore.pareto.
-    pareto_filter` runs the 2-D/3-D cases as O(n log n) sweeps and
-    higher dimensions through the reference filter.
+    Any number of objectives is supported: :func:`repro.explore.pareto.
+    pareto_filter` is one scan for every dimension.
     """
     resolved = resolve_objectives(objectives)
     base = tuple(o for o in resolved if not o.needs_post_pass)

@@ -111,15 +111,3 @@ class ActivityTrace:
     @property
     def total_transports(self) -> int:
         return sum(self.bus_transports.values())
-
-    @property
-    def total_toggles(self) -> int:
-        """Every counted bit flip, across all resource classes."""
-        return (
-            sum(self.bus_toggles.values())
-            + sum(self.port_toggles.values())
-            + sum(self.rf_read_toggles.values())
-            + sum(self.rf_write_toggles.values())
-            + self.fetch_toggles
-            + self.guard_toggles
-        )

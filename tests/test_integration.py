@@ -1,7 +1,5 @@
 """End-to-end integration: the full reproduction chain under one roof."""
 
-import pytest
-
 from repro import (
     ArchConfig,
     RFConfig,
@@ -18,7 +16,6 @@ from repro import (
 from repro.compiler import IRInterpreter, compile_ir
 
 
-@pytest.mark.slow
 def test_crypt_bit_exact_on_tta():
     """crypt(3) compiled onto a Fig. 9-style TTA matches pure Python."""
     password, salt = "password", "ab"
@@ -36,7 +33,6 @@ def test_crypt_bit_exact_on_tta():
     )
 
 
-@pytest.mark.slow
 def test_crypt_bit_exact_on_minimal_machine():
     """Even a single-bus, single-RF machine computes the exact hash."""
     password, salt = "tta", "./"
@@ -52,7 +48,6 @@ def test_crypt_bit_exact_on_minimal_machine():
     )
 
 
-@pytest.mark.slow
 def test_whole_paper_flow():
     """Study -> Pareto -> test costs -> selection -> Table 1."""
     study = run_study(
