@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-from repro.atpg.faults import Fault, collapse_faults
+from repro.atpg.faults import Fault, collapse_faults, fault_cone
 from repro.atpg.faultsim import WORD, FaultSimulator
 from repro.atpg.podem import Podem, PodemOutcome
 from repro.netlist.netlist import Netlist
@@ -201,16 +201,13 @@ def run_atpg(
     po_set = set(netlist.outputs)
     reachable: list[Fault] = []
     for fault in active:
-        if fault.is_branch:
-            cone_nets = {netlist.gates[g].output for g in sim._cone(fault)}
-        else:
-            cone_nets = {fault.net} | {
-                netlist.gates[g].output for g in sim._cone(fault)
-            }
-        if cone_nets & po_set:
-            reachable.append(fault)
-        else:
+        sites = [netlist.gates[g].output for g in fault_cone(netlist, fault)]
+        if not fault.is_branch:
+            sites.append(fault.net)
+        if po_set.isdisjoint(sites):
             redundant += 1
+        else:
+            reachable.append(fault)
     active = reachable
 
     # Phase 2b: PODEM on the random-resistant faults.
@@ -281,7 +278,8 @@ def _cache_load(key: str) -> ATPGResult | None:
     try:
         with path.open() as fh:
             return ATPGResult.from_json(json.load(fh))
-    except (json.JSONDecodeError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError):
+        # ValueError covers JSONDecodeError and undecodable bytes alike.
         return None
 
 

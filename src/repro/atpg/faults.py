@@ -5,20 +5,22 @@ Fault sites follow the classic convention: one pair of faults per *stem*
 input pin whose source net fans out to more than one load; single-load
 pins are identical to their stem).
 
-Equivalence collapsing applies the standard gate-local rules
+Equivalence collapsing applies the standard gate-local rules, read off
+the cell library's :data:`~repro.netlist.cells.GATE_LOGIC` table: a
+one-input cell passes both values through (in s-a-v == out
+s-a-(v ^ inversion)), and a gate with controlling value c has
+in s-a-c == out s-a-(c ^ inversion) on every pin.  Union-find keeps one
+representative per class.
 
-* BUF:  in s-a-v  ==  out s-a-v          * NOT:  in s-a-v  ==  out s-a-(1-v)
-* AND:  in s-a-0  ==  out s-a-0          * NAND: in s-a-0  ==  out s-a-1
-* OR:   in s-a-1  ==  out s-a-1          * NOR:  in s-a-1  ==  out s-a-0
-
-via union-find, keeping one representative per class.
+A fault can only change the gates of its fanout cone
+(:func:`fault_cone`); everywhere else the faulty machine is the good one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.netlist.cells import CellType
+from repro.netlist.cells import GATE_LOGIC
 from repro.netlist.netlist import Netlist
 
 
@@ -63,6 +65,20 @@ def enumerate_faults(netlist: Netlist) -> list[Fault]:
     return faults
 
 
+def fault_cone(netlist: Netlist, fault: Fault) -> tuple[int, ...]:
+    """Gate ids ``fault`` can influence, in topological order.
+
+    A stem fault reaches the readers of its net and everything after
+    them; a branch fault reaches its own gate and that gate's fanout.
+    """
+    if fault.is_branch:
+        gates = netlist.fanout_cone(netlist.gates[fault.gate].output)
+        gates.add(fault.gate)
+    else:
+        gates = netlist.fanout_cone(fault.net)
+    return tuple(sorted(gates, key=netlist.topological_position().__getitem__))
+
+
 class _UnionFind:
     def __init__(self) -> None:
         self._parent: dict[Fault, Fault] = {}
@@ -79,15 +95,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
-
-
-#: (equivalent input value, output value) per collapsible cell type.
-_EQUIV_RULES: dict[CellType, tuple[int, int]] = {
-    CellType.AND: (0, 0),
-    CellType.NAND: (0, 1),
-    CellType.OR: (1, 1),
-    CellType.NOR: (1, 0),
-}
 
 
 def collapse_faults(
@@ -111,22 +118,21 @@ def collapse_faults(
 
     for gate in netlist.gates:
         out = gate.output
-        out0, out1 = Fault(out, 0), Fault(out, 1)
-        if out0 not in fault_set:
+        if Fault(out, 0) not in fault_set or gate.cell_type not in GATE_LOGIC:
             continue
-        if gate.cell_type is CellType.BUF:
-            uf.union(out0, pin_fault(gate.gid, 0, gate.inputs[0], 0))
-            uf.union(out1, pin_fault(gate.gid, 0, gate.inputs[0], 1))
-        elif gate.cell_type is CellType.NOT:
-            uf.union(out1, pin_fault(gate.gid, 0, gate.inputs[0], 0))
-            uf.union(out0, pin_fault(gate.gid, 0, gate.inputs[0], 1))
-        elif gate.cell_type in _EQUIV_RULES:
-            in_val, out_val = _EQUIV_RULES[gate.cell_type]
-            out_fault = out1 if out_val else out0
+        controlling, inversion = GATE_LOGIC[gate.cell_type]
+        if controlling is not None:
+            out_fault = Fault(out, controlling ^ inversion)
             for pin, src in enumerate(gate.inputs):
-                candidate = pin_fault(gate.gid, pin, src, in_val)
+                candidate = pin_fault(gate.gid, pin, src, controlling)
                 if candidate in fault_set:
                     uf.union(out_fault, candidate)
+        elif len(gate.inputs) == 1:
+            for value in (0, 1):
+                uf.union(
+                    Fault(out, value ^ inversion),
+                    pin_fault(gate.gid, 0, gate.inputs[0], value),
+                )
 
     class_map = {f: uf.find(f) for f in faults}
     seen: set[Fault] = set()

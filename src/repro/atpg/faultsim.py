@@ -2,12 +2,13 @@
 
 The good circuit is simulated once per word of up to 64 packed patterns;
 each still-active fault is then re-simulated only through its fanout cone
-with a sparse value overlay.  Detected faults are dropped by the caller.
+(:func:`~repro.atpg.faults.fault_cone`) with a sparse value overlay.
+Detected faults are dropped by the caller.
 """
 
 from __future__ import annotations
 
-from repro.atpg.faults import Fault
+from repro.atpg.faults import Fault, fault_cone
 from repro.netlist.cells import evaluate_cell
 from repro.netlist.netlist import Netlist
 
@@ -35,25 +36,16 @@ class FaultSimulator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = netlist.topological_order()
-        self._position = {gid: i for i, gid in enumerate(self._order)}
         self._cone_cache: dict[tuple[int, int | None], tuple[int, ...]] = {}
         self._po_set = set(netlist.outputs)
 
     # ------------------------------------------------------------------
     def _cone(self, fault: Fault) -> tuple[int, ...]:
-        """Topologically sorted gate ids a fault can influence."""
+        """:func:`fault_cone`, memoized per fault site."""
         key = (fault.net, fault.gate)
-        cached = self._cone_cache.get(key)
-        if cached is not None:
-            return cached
-        if fault.is_branch:
-            gates = {fault.gate}
-            gates |= self.netlist.fanout_cone(self.netlist.gates[fault.gate].output)
-        else:
-            gates = self.netlist.fanout_cone(fault.net)
-        cone = tuple(sorted(gates, key=self._position.__getitem__))
-        self._cone_cache[key] = cone
+        cone = self._cone_cache.get(key)
+        if cone is None:
+            cone = self._cone_cache[key] = fault_cone(self.netlist, fault)
         return cone
 
     # ------------------------------------------------------------------
@@ -109,8 +101,3 @@ class FaultSimulator:
                 detect |= overlay[fault.net] ^ good[fault.net]
             detections[fault] = detect & all_ones
         return detections
-
-    # ------------------------------------------------------------------
-    def detects(self, pattern: int, fault: Fault) -> bool:
-        """Single-pattern convenience check."""
-        return bool(self.simulate_word([pattern], [fault])[fault])

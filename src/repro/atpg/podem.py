@@ -3,7 +3,12 @@
 Classic PODEM (Goel 1981): decisions are made only on primary inputs,
 guided by *objectives* (activate the fault, then advance the D-frontier)
 that are *backtraced* through X-valued nets to a PI.  Implication is a
-full three-valued simulation of the good and the faulty machine.
+three-valued simulation of the good machine over the whole netlist, then
+of the faulty machine over the fault's fanout cone only
+(:func:`~repro.atpg.faults.fault_cone`): outside the cone the two
+machines agree, and every gate with a D input lies inside it, so the
+D-frontier is scanned over the cone too.  Gate semantics come from the
+cell library's :data:`~repro.netlist.cells.GATE_LOGIC` table.
 
 Outcomes: ``DETECTED`` (with a test pattern), ``UNTESTABLE`` (search space
 exhausted — a redundancy proof) or ``ABORTED`` (backtrack limit hit).
@@ -16,8 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.atpg.faults import Fault
-from repro.netlist.cells import CellType
+from repro.atpg.faults import Fault, fault_cone
+from repro.netlist.cells import GATE_LOGIC, CellType
 from repro.netlist.netlist import Netlist
 
 #: Three-valued logic constants.
@@ -30,53 +35,19 @@ def eval3(cell_type: CellType, ins: list[int]) -> int:
         return ZERO
     if cell_type is CellType.CONST1:
         return ONE
-    if cell_type is CellType.BUF:
-        return ins[0]
-    if cell_type is CellType.NOT:
-        v = ins[0]
-        return X if v == X else 1 - v
-    if cell_type in (CellType.AND, CellType.NAND):
-        invert = cell_type is CellType.NAND
-        if any(v == ZERO for v in ins):
-            out = ZERO
-        elif any(v == X for v in ins):
+    controlling, inversion = GATE_LOGIC[cell_type]
+    if controlling is None:
+        if X in ins:
             return X
-        else:
-            out = ONE
-        return (1 - out) if invert else out
-    if cell_type in (CellType.OR, CellType.NOR):
-        invert = cell_type is CellType.NOR
-        if any(v == ONE for v in ins):
-            out = ONE
-        elif any(v == X for v in ins):
-            return X
-        else:
-            out = ZERO
-        return (1 - out) if invert else out
-    if cell_type in (CellType.XOR, CellType.XNOR):
-        if any(v == X for v in ins):
-            return X
-        out = 0
+        out = inversion
         for v in ins:
             out ^= v
-        return out ^ (1 if cell_type is CellType.XNOR else 0)
-    raise ValueError(f"unknown cell type {cell_type}")
-
-
-#: Non-controlling input value per gate family (None = no controlling value).
-_NONCONTROLLING: dict[CellType, int | None] = {
-    CellType.AND: ONE,
-    CellType.NAND: ONE,
-    CellType.OR: ZERO,
-    CellType.NOR: ZERO,
-    CellType.XOR: None,    # no controlling value: backtrace value is free
-    CellType.XNOR: None,
-    CellType.BUF: None,
-    CellType.NOT: None,
-}
-
-#: Does the gate invert (for backtrace value propagation)?
-_INVERTS: set[CellType] = {CellType.NOT, CellType.NAND, CellType.NOR, CellType.XNOR}
+        return out
+    if controlling in ins:
+        return controlling ^ inversion
+    if X in ins:
+        return X
+    return (1 - controlling) ^ inversion
 
 
 class PodemOutcome(enum.Enum):
@@ -132,27 +103,30 @@ class Podem:
     # simulation
     # ------------------------------------------------------------------
     def _simulate(
-        self, assignment: dict[int, int], fault: Fault
+        self, assignment: dict[int, int], fault: Fault, cone: tuple[int, ...]
     ) -> tuple[list[int], list[int]]:
-        """Three-valued good/faulty simulation under a partial assignment."""
-        nl = self.netlist
-        good = [X] * nl.num_nets
-        faulty = [X] * nl.num_nets
-        for pi in nl.inputs:
-            v = assignment.get(pi, X)
-            good[pi] = v
-            faulty[pi] = v
-        if not fault.is_branch and nl.nets[fault.net].driver is None:
-            faulty[fault.net] = fault.stuck_at
+        """Three-valued good/faulty simulation under a partial assignment.
+
+        The faulty machine starts as a copy of the good one and is
+        re-evaluated only on ``cone``; no cone gate drives a stem fault's
+        net, so the stuck value is set once, up front.
+        """
+        gates = self.netlist.gates
+        good = [X] * self.netlist.num_nets
+        for pi in self.netlist.inputs:
+            good[pi] = assignment.get(pi, X)
         for gid in self._order:
-            gate = nl.gates[gid]
+            gate = gates[gid]
             good[gate.output] = eval3(gate.cell_type, [good[n] for n in gate.inputs])
+        faulty = list(good)
+        if not fault.is_branch:
+            faulty[fault.net] = fault.stuck_at
+        for gid in cone:
+            gate = gates[gid]
             f_ins = [faulty[n] for n in gate.inputs]
-            if fault.is_branch and gid == fault.gate:
+            if gid == fault.gate:
                 f_ins[fault.pin] = fault.stuck_at
             faulty[gate.output] = eval3(gate.cell_type, f_ins)
-            if not fault.is_branch and gate.output == fault.net:
-                faulty[gate.output] = fault.stuck_at
         return good, faulty
 
     def _detected(self, good: list[int], faulty: list[int]) -> bool:
@@ -165,7 +139,11 @@ class Podem:
     # objective / backtrace
     # ------------------------------------------------------------------
     def _objective(
-        self, good: list[int], faulty: list[int], fault: Fault
+        self,
+        good: list[int],
+        faulty: list[int],
+        fault: Fault,
+        cone: tuple[int, ...],
     ) -> tuple[int, int] | None:
         """Next (net, value) goal, or None when the search must back up."""
         site_good = good[fault.net]
@@ -175,25 +153,32 @@ class Podem:
             return None  # activation conflict: current assignment kills it
 
         # Fault active: advance the D-frontier.
-        frontier = self._d_frontier(good, faulty, fault)
+        frontier = self._d_frontier(good, faulty, fault, cone)
         if not frontier:
             return None
         if not self._x_path_exists(frontier, good, faulty):
             return None
         gate = self.netlist.gates[frontier[0]]
-        noncontrolling = _NONCONTROLLING[gate.cell_type]
+        controlling, _inversion = GATE_LOGIC[gate.cell_type]
         for src in gate.inputs:
             if good[src] == X:
-                value = noncontrolling if noncontrolling is not None else ZERO
-                return src, value
+                return src, ZERO if controlling is None else 1 - controlling
         return None
 
     def _d_frontier(
-        self, good: list[int], faulty: list[int], fault: Fault
+        self,
+        good: list[int],
+        faulty: list[int],
+        fault: Fault,
+        cone: tuple[int, ...],
     ) -> list[int]:
-        """Gates with a D/D' input and an X output, nearest-to-PO first."""
+        """Gates with a D/D' input and an X output, nearest-to-PO first.
+
+        Only cone gates can read a D, and ``cone`` is in topological
+        order, so equal depths keep the order of a whole-netlist scan.
+        """
         frontier = []
-        for gid in self._order:
+        for gid in cone:
             gate = self.netlist.gates[gid]
             out = gate.output
             if good[out] != X and faulty[out] != X:
@@ -241,25 +226,23 @@ class Podem:
                     return net, value
                 return None
             gate = nl.gates[driver]
-            if gate.cell_type in (CellType.CONST0, CellType.CONST1):
+            if gate.cell_type not in GATE_LOGIC:   # a constant cell
                 return None
-            if gate.cell_type in _INVERTS:
-                value = 1 - value
+            controlling, inversion = GATE_LOGIC[gate.cell_type]
+            value ^= inversion
             x_inputs = [src for src in gate.inputs if good[src] == X]
             if not x_inputs:
                 return None
-            noncontrolling = _NONCONTROLLING[gate.cell_type]
-            if noncontrolling is not None and value == 1 - noncontrolling:
+            if value == controlling:
                 # Want the controlled output value: one input suffices ->
                 # pick the easiest-to-control (shallowest) X input.
                 net = min(x_inputs, key=lambda n: self._level[n])
-                value = 1 - noncontrolling
             else:
                 # All inputs must reach the non-controlling value: work on
                 # the hardest (deepest) one first so conflicts surface early.
                 net = max(x_inputs, key=lambda n: self._level[n])
-                if noncontrolling is not None:
-                    value = noncontrolling
+                if controlling is not None:
+                    value = 1 - controlling
         return None
 
     # ------------------------------------------------------------------
@@ -267,19 +250,20 @@ class Podem:
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
         """Try to generate a test for ``fault``."""
+        cone = fault_cone(self.netlist, fault)
         assignment: dict[int, int] = {}
         stack: list[list] = []   # [pi, value, flipped]
         backtracks = 0
 
         while True:
-            good, faulty = self._simulate(assignment, fault)
+            good, faulty = self._simulate(assignment, fault, cone)
             if self._detected(good, faulty):
                 return PodemResult(
                     PodemOutcome.DETECTED, self._pack(assignment), backtracks
                 )
 
             step: tuple[int, int] | None = None
-            objective = self._objective(good, faulty, fault)
+            objective = self._objective(good, faulty, fault, cone)
             if objective is not None:
                 step = self._backtrace(objective[0], objective[1], good)
 

@@ -75,13 +75,24 @@ FAN_IN: dict[CellType, tuple[int, int]] = {
     CellType.CONST1: (0, 0),
 }
 
-#: (controlling value, inversion) for gates that have a controlling value.
-#: The controlling value at any input fixes the output to value ^ inversion.
-CONTROLLING: dict[CellType, tuple[int, int]] = {
+#: Logic of every cell with inputs: (controlling value or ``None``, output
+#: inversion).  A controlling value at any input fixes the output to
+#: ``controlling ^ inversion``; a cell without one computes the parity of
+#: its inputs (BUF and NOT are one-input parity), inverted when
+#: ``inversion`` is 1.  This is the one statement of gate semantics:
+#: bit-parallel :func:`evaluate_cell`, PODEM's three-valued ``eval3``, its
+#: objective and backtrace (:mod:`repro.atpg.podem`) and structural
+#: equivalence collapsing (:func:`repro.atpg.faults.collapse_faults`) all
+#: read it.
+GATE_LOGIC: dict[CellType, tuple[int | None, int]] = {
+    CellType.BUF: (None, 0),
+    CellType.NOT: (None, 1),
     CellType.AND: (0, 0),
     CellType.NAND: (0, 1),
     CellType.OR: (1, 0),
     CellType.NOR: (1, 1),
+    CellType.XOR: (None, 0),
+    CellType.XNOR: (None, 1),
 }
 
 
@@ -109,22 +120,15 @@ def evaluate_cell(cell_type: CellType, inputs: list[int], all_ones: int) -> int:
         return 0
     if cell_type is CellType.CONST1:
         return all_ones
-    if cell_type is CellType.BUF:
-        return inputs[0]
-    if cell_type is CellType.NOT:
-        return inputs[0] ^ all_ones
-
+    controlling, inversion = GATE_LOGIC[cell_type]
     acc = inputs[0]
-    if cell_type in (CellType.AND, CellType.NAND):
-        for v in inputs[1:]:
-            acc &= v
-        return acc ^ all_ones if cell_type is CellType.NAND else acc
-    if cell_type in (CellType.OR, CellType.NOR):
-        for v in inputs[1:]:
-            acc |= v
-        return acc ^ all_ones if cell_type is CellType.NOR else acc
-    if cell_type in (CellType.XOR, CellType.XNOR):
+    if controlling is None:
         for v in inputs[1:]:
             acc ^= v
-        return acc ^ all_ones if cell_type is CellType.XNOR else acc
-    raise ValueError(f"unknown cell type: {cell_type}")
+    elif controlling:
+        for v in inputs[1:]:
+            acc |= v
+    else:
+        for v in inputs[1:]:
+            acc &= v
+    return acc ^ all_ones if inversion else acc

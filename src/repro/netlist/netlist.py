@@ -59,7 +59,7 @@ class Netlist:
         self.inputs: list[int] = []    # PI net ids, in declaration order
         self.outputs: list[int] = []   # PO net ids, in declaration order
         self._order: list[int] | None = None   # cached topological gate order
-        self._levels: list[int] | None = None  # per-gate level, same cache life
+        self._position: list[int] | None = None  # gate id -> index in _order
 
     # ------------------------------------------------------------------
     # construction
@@ -122,7 +122,7 @@ class Netlist:
 
     def _invalidate(self) -> None:
         self._order = None
-        self._levels = None
+        self._position = None
 
     # ------------------------------------------------------------------
     # structure queries
@@ -149,7 +149,6 @@ class Netlist:
                     indegree[gate.gid] += 1
         ready = [g.gid for g in self.gates if indegree[g.gid] == 0]
         order: list[int] = []
-        levels = [0] * len(self.gates)
         head = 0
         while head < len(ready):
             gid = ready[head]
@@ -157,21 +156,22 @@ class Netlist:
             order.append(gid)
             out = self.gates[gid].output
             for succ in self.nets[out].fanout:
-                levels[succ] = max(levels[succ], levels[gid] + 1)
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     ready.append(succ)
         if len(order) != len(self.gates):
             raise NetlistError(f"combinational cycle in netlist '{self.name}'")
         self._order = order
-        self._levels = levels
         return order
 
-    def gate_levels(self) -> list[int]:
-        """Per-gate logic level (distance from PIs), cached with the order."""
-        self.topological_order()
-        assert self._levels is not None
-        return self._levels
+    def topological_position(self) -> list[int]:
+        """Index of every gate id in :meth:`topological_order`, cached."""
+        if self._position is None:
+            position = [0] * len(self.gates)
+            for i, gid in enumerate(self.topological_order()):
+                position[gid] = i
+            self._position = position
+        return self._position
 
     def check(self) -> None:
         """Validate structural invariants; raises :class:`NetlistError`."""
@@ -194,23 +194,6 @@ class Netlist:
                 continue
             seen.add(gid)
             stack.extend(self.nets[self.gates[gid].output].fanout)
-        return seen
-
-    def fanin_cone(self, net: int) -> set[int]:
-        """All gate ids in the transitive fan-in of ``net``."""
-        seen: set[int] = set()
-        stack = []
-        if self.nets[net].driver is not None:
-            stack.append(self.nets[net].driver)
-        while stack:
-            gid = stack.pop()
-            if gid in seen:
-                continue
-            seen.add(gid)
-            for inp in self.gates[gid].inputs:
-                drv = self.nets[inp].driver
-                if drv is not None:
-                    stack.append(drv)
         return seen
 
     # ------------------------------------------------------------------

@@ -96,28 +96,15 @@ class TestCostBreakdown:
         raise KeyError(f"no unit {name!r} in breakdown")
 
 
-#: (spec, march, num_buses, port->bus binding) -> (cd, component cost,
-#: back-annotation).  Everything eqs. 11-13 read about one unit is in
-#: that fingerprint, so two units agreeing on it — across architectures,
-#: sweeps and workloads — share one evaluation, and ``attach_test_costs``
-#: stops re-running the ATPG-backed math for every Pareto point that
-#: merely re-mixes already-seen components.
-_UNIT_COST_CACHE: dict[tuple, tuple[int, int, "Backannotation"]] = {}
-
-
 def _unit_cost(
     arch: Architecture, unit_name: str, march_name: str
 ) -> tuple[int, int, Backannotation]:
-    """(CD, component cost, back-annotation) for one unit, memoized."""
+    """(CD, component cost, back-annotation) for one unit.
+
+    The back-annotation (the ATPG or march run) is memoized per
+    (spec, march); the rest is eq. 9/10 latency and eq. 11/12 arithmetic.
+    """
     spec = arch.unit(unit_name).spec
-    binding = tuple(
-        (port.name, tuple(sorted(arch.port_buses(unit_name, port.name))))
-        for port in spec.ports
-    )
-    key = (spec, march_name, arch.num_buses, binding)
-    cached = _UNIT_COST_CACHE.get(key)
-    if cached is not None:
-        return cached
     back = component_backannotation(spec, march_name)
     cd = transport_latency(arch, unit_name)
     if spec.kind is ComponentKind.FU:
@@ -130,9 +117,7 @@ def _unit_cost(
         )
     else:
         component = 0
-    result = (cd, component, back)
-    _UNIT_COST_CACHE[key] = result
-    return result
+    return cd, component, back
 
 
 def architecture_test_cost(
@@ -174,9 +159,9 @@ def attach_test_costs(
     """Annotate evaluated points with ``f_t`` (feasible points only).
 
     Architectures come from the shared builder cache (the same instance
-    ``evaluate_config`` costed), and per-unit costs are served from the
-    component-fingerprint cache, so attaching costs to a Pareto set does
-    not re-instantiate templates or re-run the ATPG engine for component
+    ``evaluate_config`` costed), and back-annotations are memoized per
+    (spec, march), so attaching costs to a Pareto set does not
+    re-instantiate templates or re-run the ATPG engine for component
     types it has already seen.
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the

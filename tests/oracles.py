@@ -8,13 +8,23 @@
   ``_record_commit`` against shadow copies of the port registers.  Its
   ``SimResult``, final state and ``ActivityTrace`` pin the shipped
   simulator's, down to dict key order.
+* The ATPG pipeline as it stood before the cell library's gate-logic
+  table and ``fault_cone``: :func:`evaluate_cell`, :func:`eval3`,
+  :class:`Podem` (faulty machine re-simulated over the whole netlist),
+  :class:`FaultSimulator`, :func:`collapse_faults` and :func:`run_atpg`
+  without its disk cache.  Every pattern list, PODEM decision and fault
+  class of the shipped ATPG must equal these.
 """
 
 from __future__ import annotations
 
+import enum
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.atpg.faults import Fault, enumerate_faults
+from repro.atpg.faultsim import WORD
 from repro.components.reference import (
     ALU_OPS,
     CMP_OPS,
@@ -28,6 +38,8 @@ from repro.components.reference import (
 from repro.components.register_file import MultiPortMemory
 from repro.components.spec import ComponentKind
 from repro.explore.pareto import dominates
+from repro.netlist.cells import CellType
+from repro.netlist.netlist import Netlist
 from repro.tta.activity import ActivityTrace
 from repro.tta.arch import Architecture
 from repro.tta.isa import GUARD_UNIT, Guard, Instruction, Literal, Move, PortRef, Program
@@ -423,3 +435,656 @@ def _guard_index_or_raise(port: str) -> int:
     if port.startswith("g") and port[1:].isdigit():
         return int(port[1:])
     raise SimulationError(f"bad guard register name {port!r}")
+
+
+# ----------------------------------------------------------------------
+# ATPG as it stood before the gate-logic table and the fault cone: gate
+# facts written out per evaluator, PODEM re-simulating the faulty machine
+# over the whole netlist, the fault simulator evaluating the good machine
+# with the oracle's own ``evaluate_cell``.
+# ----------------------------------------------------------------------
+def evaluate_cell(cell_type: CellType, inputs: list[int], all_ones: int) -> int:
+    """Evaluate one cell on bit-parallel pattern vectors.
+
+    ``all_ones`` is the mask covering every simulated pattern; inversion is
+    XOR with that mask so unused high bits stay zero.
+    """
+    if cell_type is CellType.CONST0:
+        return 0
+    if cell_type is CellType.CONST1:
+        return all_ones
+    if cell_type is CellType.BUF:
+        return inputs[0]
+    if cell_type is CellType.NOT:
+        return inputs[0] ^ all_ones
+
+    acc = inputs[0]
+    if cell_type in (CellType.AND, CellType.NAND):
+        for v in inputs[1:]:
+            acc &= v
+        return acc ^ all_ones if cell_type is CellType.NAND else acc
+    if cell_type in (CellType.OR, CellType.NOR):
+        for v in inputs[1:]:
+            acc |= v
+        return acc ^ all_ones if cell_type is CellType.NOR else acc
+    if cell_type in (CellType.XOR, CellType.XNOR):
+        for v in inputs[1:]:
+            acc ^= v
+        return acc ^ all_ones if cell_type is CellType.XNOR else acc
+    raise ValueError(f"unknown cell type: {cell_type}")
+
+
+def _evaluate(
+    netlist: Netlist, pi_values: dict[int, int], num_patterns: int
+) -> list[int]:
+    """``Netlist.evaluate`` over the oracle's :func:`evaluate_cell`."""
+    all_ones = (1 << num_patterns) - 1
+    values = [0] * len(netlist.nets)
+    for pi in netlist.inputs:
+        values[pi] = pi_values.get(pi, 0) & all_ones
+    for gid in netlist.topological_order():
+        gate = netlist.gates[gid]
+        ins = [values[n] for n in gate.inputs]
+        values[gate.output] = evaluate_cell(gate.cell_type, ins, all_ones)
+    return values
+
+
+#: Three-valued logic constants.
+ZERO, ONE, X = 0, 1, 2
+
+
+def eval3(cell_type: CellType, ins: list[int]) -> int:
+    """Evaluate one cell in {0, 1, X} logic."""
+    if cell_type is CellType.CONST0:
+        return ZERO
+    if cell_type is CellType.CONST1:
+        return ONE
+    if cell_type is CellType.BUF:
+        return ins[0]
+    if cell_type is CellType.NOT:
+        v = ins[0]
+        return X if v == X else 1 - v
+    if cell_type in (CellType.AND, CellType.NAND):
+        invert = cell_type is CellType.NAND
+        if any(v == ZERO for v in ins):
+            out = ZERO
+        elif any(v == X for v in ins):
+            return X
+        else:
+            out = ONE
+        return (1 - out) if invert else out
+    if cell_type in (CellType.OR, CellType.NOR):
+        invert = cell_type is CellType.NOR
+        if any(v == ONE for v in ins):
+            out = ONE
+        elif any(v == X for v in ins):
+            return X
+        else:
+            out = ZERO
+        return (1 - out) if invert else out
+    if cell_type in (CellType.XOR, CellType.XNOR):
+        if any(v == X for v in ins):
+            return X
+        out = 0
+        for v in ins:
+            out ^= v
+        return out ^ (1 if cell_type is CellType.XNOR else 0)
+    raise ValueError(f"unknown cell type {cell_type}")
+
+
+#: Non-controlling input value per gate family (None = no controlling value).
+_NONCONTROLLING: dict[CellType, int | None] = {
+    CellType.AND: ONE,
+    CellType.NAND: ONE,
+    CellType.OR: ZERO,
+    CellType.NOR: ZERO,
+    CellType.XOR: None,    # no controlling value: backtrace value is free
+    CellType.XNOR: None,
+    CellType.BUF: None,
+    CellType.NOT: None,
+}
+
+#: Does the gate invert (for backtrace value propagation)?
+_INVERTS: set[CellType] = {CellType.NOT, CellType.NAND, CellType.NOR, CellType.XNOR}
+
+
+class PodemOutcome(enum.Enum):
+    DETECTED = "detected"
+    UNTESTABLE = "untestable"
+    ABORTED = "aborted"
+
+
+@dataclass
+class PodemResult:
+    outcome: PodemOutcome
+    pattern: int | None      # packed by PI order, unassigned PIs = 0
+    backtracks: int
+
+class Podem:
+    """PODEM engine bound to one netlist."""
+
+    def __init__(self, netlist: Netlist, backtrack_limit: int = 64):
+        self.netlist = netlist
+        self.backtrack_limit = backtrack_limit
+        self._order = netlist.topological_order()
+        self._pi_index = {pi: i for i, pi in enumerate(netlist.inputs)}
+        self._po_set = set(netlist.outputs)
+        # Observability: min levels to a PO (orders the D-frontier).
+        self._depth = self._po_distance()
+        # Controllability: levels from the PIs (guides backtrace choices).
+        self._level = self._pi_distance()
+
+    def _po_distance(self) -> dict[int, int]:
+        depth = {po: 0 for po in self._po_set}
+        for gid in reversed(self._order):
+            gate = self.netlist.gates[gid]
+            d_out = depth.get(gate.output)
+            if d_out is None:
+                continue
+            for src in gate.inputs:
+                prev = depth.get(src)
+                if prev is None or d_out + 1 < prev:
+                    depth[src] = d_out + 1
+        return depth
+
+    def _pi_distance(self) -> list[int]:
+        level = [0] * self.netlist.num_nets
+        for gid in self._order:
+            gate = self.netlist.gates[gid]
+            level[gate.output] = 1 + max(
+                (level[src] for src in gate.inputs), default=0
+            )
+        return level
+
+    # ------------------------------------------------------------------
+    # simulation
+    # ------------------------------------------------------------------
+    def _simulate(
+        self, assignment: dict[int, int], fault: Fault
+    ) -> tuple[list[int], list[int]]:
+        """Three-valued good/faulty simulation under a partial assignment."""
+        nl = self.netlist
+        good = [X] * nl.num_nets
+        faulty = [X] * nl.num_nets
+        for pi in nl.inputs:
+            v = assignment.get(pi, X)
+            good[pi] = v
+            faulty[pi] = v
+        if not fault.is_branch and nl.nets[fault.net].driver is None:
+            faulty[fault.net] = fault.stuck_at
+        for gid in self._order:
+            gate = nl.gates[gid]
+            good[gate.output] = eval3(gate.cell_type, [good[n] for n in gate.inputs])
+            f_ins = [faulty[n] for n in gate.inputs]
+            if fault.is_branch and gid == fault.gate:
+                f_ins[fault.pin] = fault.stuck_at
+            faulty[gate.output] = eval3(gate.cell_type, f_ins)
+            if not fault.is_branch and gate.output == fault.net:
+                faulty[gate.output] = fault.stuck_at
+        return good, faulty
+
+    def _detected(self, good: list[int], faulty: list[int]) -> bool:
+        return any(
+            good[po] != X and faulty[po] != X and good[po] != faulty[po]
+            for po in self._po_set
+        )
+
+    # ------------------------------------------------------------------
+    # objective / backtrace
+    # ------------------------------------------------------------------
+    def _objective(
+        self, good: list[int], faulty: list[int], fault: Fault
+    ) -> tuple[int, int] | None:
+        """Next (net, value) goal, or None when the search must back up."""
+        site_good = good[fault.net]
+        if site_good == X:
+            return fault.net, 1 - fault.stuck_at
+        if site_good == fault.stuck_at:
+            return None  # activation conflict: current assignment kills it
+
+        # Fault active: advance the D-frontier.
+        frontier = self._d_frontier(good, faulty, fault)
+        if not frontier:
+            return None
+        if not self._x_path_exists(frontier, good, faulty):
+            return None
+        gate = self.netlist.gates[frontier[0]]
+        noncontrolling = _NONCONTROLLING[gate.cell_type]
+        for src in gate.inputs:
+            if good[src] == X:
+                value = noncontrolling if noncontrolling is not None else ZERO
+                return src, value
+        return None
+
+    def _d_frontier(
+        self, good: list[int], faulty: list[int], fault: Fault
+    ) -> list[int]:
+        """Gates with a D/D' input and an X output, nearest-to-PO first."""
+        frontier = []
+        for gid in self._order:
+            gate = self.netlist.gates[gid]
+            out = gate.output
+            if good[out] != X and faulty[out] != X:
+                continue
+            for pin, src in enumerate(gate.inputs):
+                g, f = good[src], faulty[src]
+                if fault.is_branch and gid == fault.gate and pin == fault.pin:
+                    f = fault.stuck_at
+                if g != X and f != X and g != f:
+                    frontier.append(gid)
+                    break
+        frontier.sort(
+            key=lambda gid: self._depth.get(self.netlist.gates[gid].output, 1 << 30)
+        )
+        return frontier
+
+    def _x_path_exists(
+        self, frontier: list[int], good: list[int], faulty: list[int]
+    ) -> bool:
+        """Forward path of X nets from any frontier gate to a PO?"""
+        stack = [self.netlist.gates[gid].output for gid in frontier]
+        seen: set[int] = set()
+        while stack:
+            net = stack.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            if good[net] != X and faulty[net] != X:
+                continue
+            if net in self._po_set:
+                return True
+            for succ in self.netlist.nets[net].fanout:
+                stack.append(self.netlist.gates[succ].output)
+        return False
+
+    def _backtrace(
+        self, net: int, value: int, good: list[int]
+    ) -> tuple[int, int] | None:
+        """Walk an objective back through X nets to an unassigned PI."""
+        nl = self.netlist
+        for _hop in range(nl.num_nets + 1):
+            driver = nl.nets[net].driver
+            if driver is None:
+                if net in self._pi_index and good[net] == X:
+                    return net, value
+                return None
+            gate = nl.gates[driver]
+            if gate.cell_type in (CellType.CONST0, CellType.CONST1):
+                return None
+            if gate.cell_type in _INVERTS:
+                value = 1 - value
+            x_inputs = [src for src in gate.inputs if good[src] == X]
+            if not x_inputs:
+                return None
+            noncontrolling = _NONCONTROLLING[gate.cell_type]
+            if noncontrolling is not None and value == 1 - noncontrolling:
+                # Want the controlled output value: one input suffices ->
+                # pick the easiest-to-control (shallowest) X input.
+                net = min(x_inputs, key=lambda n: self._level[n])
+                value = 1 - noncontrolling
+            else:
+                # All inputs must reach the non-controlling value: work on
+                # the hardest (deepest) one first so conflicts surface early.
+                net = max(x_inputs, key=lambda n: self._level[n])
+                if noncontrolling is not None:
+                    value = noncontrolling
+        return None
+
+    # ------------------------------------------------------------------
+    # main loop
+    # ------------------------------------------------------------------
+    def generate(self, fault: Fault) -> PodemResult:
+        """Try to generate a test for ``fault``."""
+        assignment: dict[int, int] = {}
+        stack: list[list] = []   # [pi, value, flipped]
+        backtracks = 0
+
+        while True:
+            good, faulty = self._simulate(assignment, fault)
+            if self._detected(good, faulty):
+                return PodemResult(
+                    PodemOutcome.DETECTED, self._pack(assignment), backtracks
+                )
+
+            step: tuple[int, int] | None = None
+            objective = self._objective(good, faulty, fault)
+            if objective is not None:
+                step = self._backtrace(objective[0], objective[1], good)
+
+            if step is not None:
+                pi, value = step
+                assignment[pi] = value
+                stack.append([pi, value, False])
+                continue
+
+            # Dead end: flip the most recent unflipped decision.
+            backtracks += 1
+            if backtracks > self.backtrack_limit:
+                return PodemResult(PodemOutcome.ABORTED, None, backtracks)
+            while stack and stack[-1][2]:
+                pi, _value, _flipped = stack.pop()
+                del assignment[pi]
+            if not stack:
+                return PodemResult(PodemOutcome.UNTESTABLE, None, backtracks)
+            stack[-1][2] = True
+            stack[-1][1] ^= 1
+            assignment[stack[-1][0]] = stack[-1][1]
+
+    def _pack(self, assignment: dict[int, int]) -> int:
+        pattern = 0
+        for pi, value in assignment.items():
+            if value == ONE:
+                pattern |= 1 << self._pi_index[pi]
+        return pattern
+
+
+def pack_patterns(netlist: Netlist, patterns: list[int]) -> dict[int, int]:
+    """Pack per-pattern PI words into per-PI pattern vectors.
+
+    ``patterns[k]`` holds pattern *k* as an integer whose bit *i* is the
+    value of ``netlist.inputs[i]``.  The result maps PI net id -> vector
+    whose bit *k* is that PI's value under pattern *k*.
+    """
+    vectors: dict[int, int] = {pi: 0 for pi in netlist.inputs}
+    for k, pattern in enumerate(patterns):
+        for i, pi in enumerate(netlist.inputs):
+            if (pattern >> i) & 1:
+                vectors[pi] |= 1 << k
+    return vectors
+
+class FaultSimulator:
+    """Reusable fault-simulation context for one netlist."""
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        self._order = netlist.topological_order()
+        self._position = {gid: i for i, gid in enumerate(self._order)}
+        self._cone_cache: dict[tuple[int, int | None], tuple[int, ...]] = {}
+        self._po_set = set(netlist.outputs)
+
+    # ------------------------------------------------------------------
+    def _cone(self, fault: Fault) -> tuple[int, ...]:
+        """Topologically sorted gate ids a fault can influence."""
+        key = (fault.net, fault.gate)
+        cached = self._cone_cache.get(key)
+        if cached is not None:
+            return cached
+        if fault.is_branch:
+            gates = {fault.gate}
+            gates |= self.netlist.fanout_cone(self.netlist.gates[fault.gate].output)
+        else:
+            gates = self.netlist.fanout_cone(fault.net)
+        cone = tuple(sorted(gates, key=self._position.__getitem__))
+        self._cone_cache[key] = cone
+        return cone
+
+    # ------------------------------------------------------------------
+    def simulate_word(
+        self,
+        patterns: list[int],
+        faults: list[Fault],
+    ) -> dict[Fault, int]:
+        """Fault-simulate up to :data:`WORD` patterns against ``faults``.
+
+        Returns a map fault -> detection mask (bit *k* set when pattern
+        *k* propagates the fault to at least one primary output).
+        """
+        if len(patterns) > WORD:
+            raise ValueError(f"at most {WORD} patterns per word")
+        num = len(patterns)
+        all_ones = (1 << num) - 1
+        pi_vectors = pack_patterns(self.netlist, patterns)
+        good = _evaluate(self.netlist, pi_vectors, num)
+
+        gates = self.netlist.gates
+        nets = self.netlist.nets
+        detections: dict[Fault, int] = {}
+
+        for fault in faults:
+            stuck_vec = all_ones if fault.stuck_at else 0
+            overlay: dict[int, int] = {}
+
+            if not fault.is_branch:
+                # Activation requires the good value to differ somewhere.
+                if good[fault.net] == stuck_vec:
+                    detections[fault] = 0
+                    continue
+                overlay[fault.net] = stuck_vec
+
+            detect = 0
+            for gid in self._cone(fault):
+                gate = gates[gid]
+                ins = [overlay.get(n, good[n]) for n in gate.inputs]
+                if fault.is_branch and gid == fault.gate:
+                    ins[fault.pin] = stuck_vec
+                value = evaluate_cell(gate.cell_type, ins, all_ones)
+                if value == good[gate.output]:
+                    # Converged back to good value: only record if the net
+                    # was previously diverged, to keep the overlay small.
+                    if gate.output in overlay:
+                        overlay[gate.output] = value
+                    continue
+                overlay[gate.output] = value
+                if gate.output in self._po_set:
+                    detect |= value ^ good[gate.output]
+            if not fault.is_branch and fault.net in self._po_set:
+                detect |= overlay[fault.net] ^ good[fault.net]
+            detections[fault] = detect & all_ones
+        return detections
+
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self._parent: dict[Fault, Fault] = {}
+
+    def find(self, item: Fault) -> Fault:
+        parent = self._parent.setdefault(item, item)
+        if parent is item:
+            return item
+        root = self.find(parent)
+        self._parent[item] = root
+        return root
+
+    def union(self, a: Fault, b: Fault) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
+
+
+#: (equivalent input value, output value) per collapsible cell type.
+_EQUIV_RULES: dict[CellType, tuple[int, int]] = {
+    CellType.AND: (0, 0),
+    CellType.NAND: (0, 1),
+    CellType.OR: (1, 1),
+    CellType.NOR: (1, 0),
+}
+
+
+def collapse_faults(
+    netlist: Netlist, faults: list[Fault] | None = None
+) -> tuple[list[Fault], dict[Fault, Fault]]:
+    """Equivalence-collapse a fault list.
+
+    Returns ``(representatives, class_map)`` where ``class_map`` sends
+    every original fault to its class representative.
+    """
+    if faults is None:
+        faults = enumerate_faults(netlist)
+    fault_set = set(faults)
+    uf = _UnionFind()
+
+    def pin_fault(gate_id: int, pin: int, src: int, value: int) -> Fault:
+        branch = Fault(src, value, gate=gate_id, pin=pin)
+        if branch in fault_set:
+            return branch
+        return Fault(src, value)
+
+    for gate in netlist.gates:
+        out = gate.output
+        out0, out1 = Fault(out, 0), Fault(out, 1)
+        if out0 not in fault_set:
+            continue
+        if gate.cell_type is CellType.BUF:
+            uf.union(out0, pin_fault(gate.gid, 0, gate.inputs[0], 0))
+            uf.union(out1, pin_fault(gate.gid, 0, gate.inputs[0], 1))
+        elif gate.cell_type is CellType.NOT:
+            uf.union(out1, pin_fault(gate.gid, 0, gate.inputs[0], 0))
+            uf.union(out0, pin_fault(gate.gid, 0, gate.inputs[0], 1))
+        elif gate.cell_type in _EQUIV_RULES:
+            in_val, out_val = _EQUIV_RULES[gate.cell_type]
+            out_fault = out1 if out_val else out0
+            for pin, src in enumerate(gate.inputs):
+                candidate = pin_fault(gate.gid, pin, src, in_val)
+                if candidate in fault_set:
+                    uf.union(out_fault, candidate)
+
+    class_map = {f: uf.find(f) for f in faults}
+    seen: set[Fault] = set()
+    representatives: list[Fault] = []
+    for f in faults:
+        rep = class_map[f]
+        if rep not in seen:
+            seen.add(rep)
+            representatives.append(rep)
+    return representatives, class_map
+
+
+def run_atpg(
+    netlist: Netlist,
+    seed: int = 0,
+    random_words: int = 8,
+    backtrack_limit: int = 64,
+    compact: bool = True,
+    podem_calls: list[tuple[Fault, PodemResult]] | None = None,
+) -> dict:
+    """Generate a compacted stuck-at test set for ``netlist``.
+
+    ``random_words`` words of 64 random patterns are fault-simulated with
+    dropping first; PODEM then targets the survivors.  With ``compact``
+    the pattern list is reduced by reverse-order fault simulation.
+
+    The disk cache is left out: the result is returned as
+    ``ATPGResult.to_json()``, and every fault handed to PODEM is appended
+    to ``podem_calls`` with its result.
+    """
+    faults, _class_map = collapse_faults(netlist)
+    sim = FaultSimulator(netlist)
+    rng = random.Random(seed)
+    num_pis = len(netlist.inputs)
+
+    active: list[Fault] = list(faults)
+    kept_patterns: list[int] = []
+    detected = 0
+
+    # Phase 1: random patterns, keeping only first-detecting ones.
+    # Every third/fourth word is weight-biased (25% / 75% ones): carry
+    # chains, shifter fill paths and wide control gates are notoriously
+    # resistant to uniform random patterns.
+    for _w in range(random_words):
+        if not active:
+            break
+        if _w % 4 == 2:
+            word = [
+                rng.getrandbits(num_pis) & rng.getrandbits(num_pis)
+                for _ in range(WORD)
+            ]
+        elif _w % 4 == 3:
+            word = [
+                rng.getrandbits(num_pis) | rng.getrandbits(num_pis)
+                for _ in range(WORD)
+            ]
+        else:
+            word = [rng.getrandbits(num_pis) for _ in range(WORD)]
+        results = sim.simulate_word(word, active)
+        useful: set[int] = set()
+        survivors: list[Fault] = []
+        for fault in active:
+            det_mask = results[fault]
+            if det_mask:
+                detected += 1
+                useful.add((det_mask & -det_mask).bit_length() - 1)
+            else:
+                survivors.append(fault)
+        kept_patterns.extend(word[k] for k in sorted(useful))
+        active = survivors
+
+    # Phase 2a: structural pruning — a fault with no path to any primary
+    # output is untestable by construction (dead logic); proving this via
+    # PODEM search would burn the whole backtrack budget instead.
+    podem = Podem(netlist, backtrack_limit=backtrack_limit)
+    redundant = 0
+    aborted = 0
+    undetected_names: list[str] = []
+    po_set = set(netlist.outputs)
+    reachable: list[Fault] = []
+    for fault in active:
+        if fault.is_branch:
+            cone_nets = {netlist.gates[g].output for g in sim._cone(fault)}
+        else:
+            cone_nets = {fault.net} | {
+                netlist.gates[g].output for g in sim._cone(fault)
+            }
+        if cone_nets & po_set:
+            reachable.append(fault)
+        else:
+            redundant += 1
+    active = reachable
+
+    # Phase 2b: PODEM on the random-resistant faults.
+    remaining = list(active)
+    while remaining:
+        fault = remaining.pop(0)
+        result = podem.generate(fault)
+        if podem_calls is not None:
+            podem_calls.append((fault, result))
+        if result.outcome is PodemOutcome.DETECTED:
+            assert result.pattern is not None
+            # Fill unassigned PIs randomly to catch collateral faults.
+            pattern = result.pattern | (rng.getrandbits(num_pis) & ~result.pattern)
+            verify = sim.simulate_word([pattern], [fault])[fault]
+            if not verify:
+                pattern = result.pattern   # random fill masked it; use pure
+            kept_patterns.append(pattern)
+            detected += 1
+            if remaining:
+                drop = sim.simulate_word([pattern], remaining)
+                still = [f for f in remaining if not drop[f]]
+                detected += len(remaining) - len(still)
+                remaining = still
+        elif result.outcome is PodemOutcome.UNTESTABLE:
+            redundant += 1
+        else:
+            aborted += 1
+            undetected_names.append(fault.describe(netlist))
+
+    # Phase 3: reverse-order compaction.
+    if compact and kept_patterns:
+        kept_patterns = _compact(sim, faults, kept_patterns)
+
+    return {
+        "netlist_name": netlist.name,
+        "patterns": kept_patterns,
+        "num_faults": len(faults),
+        "detected": detected,
+        "redundant": redundant,
+        "aborted": aborted,
+        "undetected_faults": undetected_names,
+    }
+
+
+def _compact(
+    sim: FaultSimulator, faults: list[Fault], patterns: list[int]
+) -> list[int]:
+    """Reverse-order fault simulation: keep patterns that add coverage."""
+    remaining = list(faults)
+    kept: list[int] = []
+    for pattern in reversed(patterns):
+        if not remaining:
+            break
+        results = sim.simulate_word([pattern], remaining)
+        survivors = [f for f in remaining if not results[f]]
+        if len(survivors) < len(remaining):
+            kept.append(pattern)
+            remaining = survivors
+    kept.reverse()
+    return kept

@@ -1,11 +1,13 @@
 """ATPG substrate tests: faults, fault simulation, PODEM, the engine."""
 
+import ast
 import json
 import os
 import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.atpg import (
     enumerate_faults,
     run_atpg,
 )
+from repro.atpg import engine
 from repro.atpg.engine import _cache_load, _cache_store
 from repro.netlist import CellType, Netlist, WordBuilder
 
@@ -260,18 +263,46 @@ def test_engine_cache_truncated_entry_is_rewritten(tmp_path, monkeypatch):
     nl = _adder(4)
     first = run_atpg(nl, use_cache=True)
     (entry,) = tmp_path.glob("*.json")
-    text = entry.read_text()
-    entry.write_text(text[: len(text) // 2])
-    # a torn entry is a miss: regenerated, then stored whole again
-    assert run_atpg(nl, use_cache=True) == first
-    assert ATPGResult.from_json(json.loads(entry.read_text())) == first
+    whole = entry.read_bytes()
+    # a torn entry and an undecodable one are misses: regenerated, then
+    # stored whole again
+    for corrupt in (whole[: len(whole) // 2], b"\xff\xfe garbage"):
+        entry.write_bytes(corrupt)
+        assert run_atpg(nl, use_cache=True) == first
+        assert ATPGResult.from_json(json.loads(entry.read_text())) == first
+
+
+def _repro_imports(path: Path) -> set[str]:
+    """Modules under ``repro`` that a source file imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        modules.update(n for n in names if n.startswith("repro."))
+    return modules
+
+
+def test_algorithm_digest_covers_its_imports():
+    """Every ``repro`` module a digested source imports is digested too,
+    so an edit to any code the ATPG runs changes ``algorithm_digest()``."""
+    package = Path(engine.__file__).resolve().parent.parent
+    listed = set(engine._ALGORITHM_SOURCES)
+    for name in sorted(listed):
+        for module in _repro_imports(package / name):
+            rel = module.removeprefix("repro.").replace(".", "/")
+            source = f"{rel}.py" if (package / f"{rel}.py").exists() else (
+                f"{rel}/__init__.py"
+            )
+            assert source in listed, f"{name} imports {module}, not digested"
 
 
 def test_engine_cache_key_versions_the_algorithm(tmp_path, monkeypatch):
     """A changed ATPG source digest misses the old entry and writes a
     second one beside it."""
-    from repro.atpg import engine
-
     monkeypatch.setenv("REPRO_ATPG_CACHE", str(tmp_path))
     nl = _adder(4)
     first = run_atpg(nl, use_cache=True)
