@@ -13,6 +13,11 @@ functional test streams its stuck-at patterns back-to-back through the
 component pipeline, every *consecutive* pair in the sequence doubles as
 a delay test; this module measures that coverage and greedily reorders /
 extends the sequence to raise it.
+
+Stuck-at detections come from 64-pattern words: each distinct pattern
+is fault-simulated once, :data:`~repro.atpg.faultsim.WORD` patterns per
+call, against every transition fault's stuck-at equivalent, and every
+pair is then answered from those results.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ class DelayAnalyzer:
         self.netlist = netlist
         self.sim = FaultSimulator(netlist)
         self.faults = enumerate_transition_faults(netlist)
+        self._stuck = [fault.stuck_equivalent for fault in self.faults]
+        #: pattern -> the stuck-at equivalents it detects.
+        self._detections: dict[int, set[Fault]] = {}
 
     # ------------------------------------------------------------------
     def _net_values(self, pattern: int) -> list[int]:
@@ -88,8 +96,21 @@ class DelayAnalyzer:
         }
         return self.netlist.evaluate(pi_map, 1)
 
+    def _simulate(self, patterns: list[int]) -> None:
+        """Record what each pattern not seen yet detects, a word per call."""
+        fresh = [p for p in dict.fromkeys(patterns) if p not in self._detections]
+        for start in range(0, len(fresh), WORD):
+            word = fresh[start : start + WORD]
+            masks = self.sim.simulate_word(word, self._stuck)
+            for k, pattern in enumerate(word):
+                self._detections[pattern] = {
+                    fault for fault, mask in masks.items() if (mask >> k) & 1
+                }
+
     def _detects_stuck(self, pattern: int, fault: Fault) -> bool:
-        return bool(self.sim.simulate_word([pattern], [fault])[fault])
+        if pattern not in self._detections:
+            self._simulate([pattern])
+        return fault in self._detections[pattern]
 
     def pair_detects(self, init: int, capture: int, fault: TransitionFault) -> bool:
         """Does the ordered pair (init, capture) detect ``fault``?
@@ -116,7 +137,7 @@ class DelayAnalyzer:
         detected: set[TransitionFault] = set()
         if len(patterns) >= 2:
             value_cache = [self._net_values(p) for p in patterns]
-            # stuck-at detection sets per capture pattern, bit-parallel
+            self._simulate(patterns)
             remaining = list(self.faults)
             for fault in remaining:
                 if fault in detected:
@@ -151,6 +172,7 @@ class DelayAnalyzer:
         sequence = list(patterns)
         extra = 0
         value_cache = {p: self._net_values(p) for p in set(sequence)}
+        self._simulate(sequence)
 
         for fault in self.faults:
             if extra >= max_extra:

@@ -256,17 +256,32 @@ def run_atpg(
 def _compact(
     sim: FaultSimulator, faults: list[Fault], patterns: list[int]
 ) -> list[int]:
-    """Reverse-order fault simulation: keep patterns that add coverage."""
+    """Reverse-order fault simulation: keep patterns that add coverage.
+
+    Word-parallel: the reversed list is simulated :data:`WORD` patterns
+    per call, and pattern *k* of a word is kept iff it is the lowest set
+    bit of some still-undetected fault's mask, i.e. the first pattern in
+    reverse order to detect that fault.  That is the same set, in the
+    same order, as simulating one pattern at a time.
+    """
     remaining = list(faults)
     kept: list[int] = []
-    for pattern in reversed(patterns):
+    backwards = patterns[::-1]
+    for start in range(0, len(backwards), WORD):
         if not remaining:
             break
-        results = sim.simulate_word([pattern], remaining)
-        survivors = [f for f in remaining if not results[f]]
-        if len(survivors) < len(remaining):
-            kept.append(pattern)
-            remaining = survivors
+        word = backwards[start : start + WORD]
+        results = sim.simulate_word(word, remaining)
+        first: set[int] = set()
+        survivors: list[Fault] = []
+        for fault in remaining:
+            mask = results[fault]
+            if mask:
+                first.add((mask & -mask).bit_length() - 1)
+            else:
+                survivors.append(fault)
+        kept.extend(word[k] for k in sorted(first))
+        remaining = survivors
     kept.reverse()
     return kept
 

@@ -1,19 +1,28 @@
 """64-way bit-parallel stuck-at fault simulation (PPSFP).
 
-The good circuit is simulated once per word of up to 64 packed patterns;
-each still-active fault is then re-simulated only through its fanout cone
-(:func:`~repro.atpg.faults.fault_cone`) with a sparse value overlay.
-Detected faults are dropped by the caller.
+Each gate's bit-parallel function is compiled once per netlist, straight
+from the cell library's :data:`~repro.netlist.cells.GATE_LOGIC` table,
+all gates in one ``compile`` call.  The good circuit is simulated once
+per word of up to 64 packed patterns; each fault then runs on a full
+copy of the good values (no sparse overlay), re-evaluated only over its
+fanout cone (:func:`~repro.atpg.faults.fault_cone`), and is detected
+where the copy's primary outputs differ from the good ones.  Detected
+faults are dropped by the caller.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.atpg.faults import Fault, fault_cone
-from repro.netlist.cells import evaluate_cell
+from repro.netlist.cells import GATE_LOGIC, CellType, evaluate_cell
 from repro.netlist.netlist import Netlist
 
 #: Patterns packed per simulation word.
 WORD = 64
+
+#: Python operator that folds a gate's inputs, by controlling value.
+_FOLD = {None: " ^ ", 0: " & ", 1: " | "}
 
 
 def pack_patterns(netlist: Netlist, patterns: list[int]) -> dict[int, int]:
@@ -31,22 +40,65 @@ def pack_patterns(netlist: Netlist, patterns: list[int]) -> dict[int, int]:
     return vectors
 
 
+def _compile_gates(netlist: Netlist) -> list[Callable[[list[int], int], int]]:
+    """One bit-parallel evaluator per gate id, ``g(values, all_ones)``.
+
+    Each evaluator computes what :func:`evaluate_cell` computes for its
+    gate, with the input nets and the fold written out.  The evaluators
+    read no globals, so they share an empty namespace: nothing refers
+    back to them, and they are freed with their simulator.
+    """
+    bodies = []
+    for gate in netlist.gates:
+        if gate.cell_type is CellType.CONST0:
+            body = "0"
+        elif gate.cell_type is CellType.CONST1:
+            body = "m"
+        else:
+            controlling, inversion = GATE_LOGIC[gate.cell_type]
+            body = _FOLD[controlling].join(f"v[{src}]" for src in gate.inputs)
+            if inversion:
+                body = f"({body}) ^ m"
+        bodies.append(f"lambda v, m: {body}")
+    source = f"[{', '.join(bodies)}]"
+    return eval(compile(source, "<fault simulation>", "eval"), {})
+
+
 class FaultSimulator:
     """Reusable fault-simulation context for one netlist."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._cone_cache: dict[tuple[int, int | None], tuple[int, ...]] = {}
         self._po_set = set(netlist.outputs)
+        #: (output net, compiled evaluator) per gate id.
+        self._steps = [
+            (gate.output, evaluate)
+            for gate, evaluate in zip(netlist.gates, _compile_gates(netlist))
+        ]
+        self._good_steps = [self._steps[gid] for gid in netlist.topological_order()]
+        self._site_cache: dict[
+            tuple[int, int | None], tuple[list[tuple], tuple[int, ...]]
+        ] = {}
 
     # ------------------------------------------------------------------
-    def _cone(self, fault: Fault) -> tuple[int, ...]:
-        """:func:`fault_cone`, memoized per fault site."""
+    def _site(self, fault: Fault) -> tuple[list[tuple], tuple[int, ...]]:
+        """The fault's cone as steps, and the POs the fault can reach.
+
+        Memoized per fault site.  A branch fault's own gate is left out of
+        the steps (every other cone gate lies downstream of it):
+        :meth:`simulate_word` evaluates it first, with the pin forced.
+        """
         key = (fault.net, fault.gate)
-        cone = self._cone_cache.get(key)
-        if cone is None:
-            cone = self._cone_cache[key] = fault_cone(self.netlist, fault)
-        return cone
+        site = self._site_cache.get(key)
+        if site is None:
+            cone = fault_cone(self.netlist, fault)
+            steps = [self._steps[gid] for gid in cone if gid != fault.gate]
+            reached = [self._steps[gid][0] for gid in cone]
+            if not fault.is_branch:
+                reached.append(fault.net)
+            observed = tuple(net for net in reached if net in self._po_set)
+            site = self._site_cache[key] = (steps, observed)
+        return site
 
     # ------------------------------------------------------------------
     def simulate_word(
@@ -61,43 +113,34 @@ class FaultSimulator:
         """
         if len(patterns) > WORD:
             raise ValueError(f"at most {WORD} patterns per word")
-        num = len(patterns)
-        all_ones = (1 << num) - 1
-        pi_vectors = pack_patterns(self.netlist, patterns)
-        good = self.netlist.evaluate(pi_vectors, num)
+        all_ones = (1 << len(patterns)) - 1
+        good = [0] * self.netlist.num_nets
+        for pi, vector in pack_patterns(self.netlist, patterns).items():
+            good[pi] = vector
+        for out, evaluate in self._good_steps:
+            good[out] = evaluate(good, all_ones)
 
         gates = self.netlist.gates
-        nets = self.netlist.nets
         detections: dict[Fault, int] = {}
-
         for fault in faults:
             stuck_vec = all_ones if fault.stuck_at else 0
-            overlay: dict[int, int] = {}
-
-            if not fault.is_branch:
+            if not fault.is_branch and good[fault.net] == stuck_vec:
                 # Activation requires the good value to differ somewhere.
-                if good[fault.net] == stuck_vec:
-                    detections[fault] = 0
-                    continue
-                overlay[fault.net] = stuck_vec
-
+                detections[fault] = 0
+                continue
+            steps, observed = self._site(fault)
+            values = list(good)
+            if fault.is_branch:
+                gate = gates[fault.gate]
+                ins = [values[n] for n in gate.inputs]
+                ins[fault.pin] = stuck_vec
+                values[gate.output] = evaluate_cell(gate.cell_type, ins, all_ones)
+            else:
+                values[fault.net] = stuck_vec
+            for out, evaluate in steps:
+                values[out] = evaluate(values, all_ones)
             detect = 0
-            for gid in self._cone(fault):
-                gate = gates[gid]
-                ins = [overlay.get(n, good[n]) for n in gate.inputs]
-                if fault.is_branch and gid == fault.gate:
-                    ins[fault.pin] = stuck_vec
-                value = evaluate_cell(gate.cell_type, ins, all_ones)
-                if value == good[gate.output]:
-                    # Converged back to good value: only record if the net
-                    # was previously diverged, to keep the overlay small.
-                    if gate.output in overlay:
-                        overlay[gate.output] = value
-                    continue
-                overlay[gate.output] = value
-                if gate.output in self._po_set:
-                    detect |= value ^ good[gate.output]
-            if not fault.is_branch and fault.net in self._po_set:
-                detect |= overlay[fault.net] ^ good[fault.net]
-            detections[fault] = detect & all_ones
+            for po in observed:
+                detect |= values[po] ^ good[po]
+            detections[fault] = detect
         return detections

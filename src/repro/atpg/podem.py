@@ -10,6 +10,13 @@ machines agree, and every gate with a D input lies inside it, so the
 D-frontier is scanned over the cone too.  Gate semantics come from the
 cell library's :data:`~repro.netlist.cells.GATE_LOGIC` table.
 
+The good machine is one generated function per netlist
+(:func:`_compile_implication`, built when a :class:`Podem` is made):
+straight-line code with one assignment per gate in topological order,
+each indexing an :func:`eval3` truth table nested one level per input.
+The fault is not part of that code, so nothing is generated per fault;
+the faulty pass over the cone stays a per-gate :func:`eval3` loop.
+
 Outcomes: ``DETECTED`` (with a test pattern), ``UNTESTABLE`` (search space
 exhausted — a redundancy proof) or ``ABORTED`` (backtrack limit hit).
 Aborted faults are counted as undetected, which is what keeps component
@@ -20,6 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable
 
 from repro.atpg.faults import Fault, fault_cone
 from repro.netlist.cells import GATE_LOGIC, CellType
@@ -50,6 +59,59 @@ def eval3(cell_type: CellType, ins: list[int]) -> int:
     return (1 - controlling) ^ inversion
 
 
+@cache
+def _truth_table(cell_type: CellType, fan_in: int):
+    """:func:`eval3` of one cell as a table indexed ``T[a][b]...``.
+
+    The table nests one 3-tuple (indexed by ZERO, ONE, X) per input; with
+    no inputs it is the cell's constant value.
+    """
+
+    def level(prefix: tuple[int, ...]):
+        if len(prefix) == fan_in:
+            return eval3(cell_type, list(prefix))
+        return tuple(level(prefix + (v,)) for v in (ZERO, ONE, X))
+
+    return level(())
+
+
+def _compile_implication(netlist: Netlist) -> Callable[[Callable], list[int]]:
+    """Generate the netlist's three-valued good machine as one function.
+
+    The result maps ``assignment.get`` to the value of every net: PIs
+    read the assignment with X as the default, undriven nets stay X and
+    each gate is one ``n<out> = T[n<a>][n<b>]...`` line in topological
+    order.  Every (cell type, fan-in) table is bound as a default
+    argument, so each lookup reads a local.
+    """
+    defined = set(netlist.inputs)
+    tables: dict[str, object] = {}
+    lines = [f"    n{pi} = get({pi}, {X})" for pi in netlist.inputs]
+    for gid in netlist.topological_order():
+        gate = netlist.gates[gid]
+        name = f"T_{gate.cell_type.name}_{len(gate.inputs)}"
+        if name not in tables:
+            tables[name] = _truth_table(gate.cell_type, len(gate.inputs))
+        index = "".join(
+            f"[n{src}]" if src in defined else f"[{X}]" for src in gate.inputs
+        )
+        lines.append(f"    n{gate.output} = {name}{index}")
+        defined.add(gate.output)
+    values = ", ".join(
+        f"n{net}" if net in defined else str(X) for net in range(netlist.num_nets)
+    )
+    params = "".join(f", {name}={name}" for name in tables)
+    source = "\n".join(
+        [f"def implied(get{params}):", *lines, f"    return [{values}]", ""]
+    )
+    namespace = dict(tables)
+    exec(compile(source, "<podem implication>", "exec"), namespace)
+    # Popped, so the namespace (the function's globals) does not refer
+    # back to it: the function is freed with its Podem, without the
+    # cycle collector.
+    return namespace.pop("implied")
+
+
 class PodemOutcome(enum.Enum):
     DETECTED = "detected"
     UNTESTABLE = "untestable"
@@ -76,6 +138,7 @@ class Podem:
         self._depth = self._po_distance()
         # Controllability: levels from the PIs (guides backtrace choices).
         self._level = self._pi_distance()
+        self._implied = _compile_implication(netlist)
 
     def _po_distance(self) -> dict[int, int]:
         depth = {po: 0 for po in self._po_set}
@@ -107,17 +170,13 @@ class Podem:
     ) -> tuple[list[int], list[int]]:
         """Three-valued good/faulty simulation under a partial assignment.
 
-        The faulty machine starts as a copy of the good one and is
+        The good machine is the generated :func:`_compile_implication`
+        function.  The faulty machine starts as a copy of it and is
         re-evaluated only on ``cone``; no cone gate drives a stem fault's
         net, so the stuck value is set once, up front.
         """
         gates = self.netlist.gates
-        good = [X] * self.netlist.num_nets
-        for pi in self.netlist.inputs:
-            good[pi] = assignment.get(pi, X)
-        for gid in self._order:
-            gate = gates[gid]
-            good[gate.output] = eval3(gate.cell_type, [good[n] for n in gate.inputs])
+        good = self._implied(assignment.get)
         faulty = list(good)
         if not fault.is_branch:
             faulty[fault.net] = fault.stuck_at

@@ -14,6 +14,10 @@
   :class:`FaultSimulator`, :func:`collapse_faults` and :func:`run_atpg`
   without its disk cache.  Every pattern list, PODEM decision and fault
   class of the shipped ATPG must equal these.
+* :class:`DelayAnalyzer` -- transition-fault analysis as it stood before
+  stuck-at detections came from 64-pattern words: one
+  ``simulate_word([pattern], [fault])`` call, over this module's
+  :class:`FaultSimulator`, per (capture pattern, fault) question.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.atpg.delay import (
+    DelayCoverage,
+    TransitionFault,
+    enumerate_transition_faults,
+)
 from repro.atpg.faults import Fault, enumerate_faults
 from repro.atpg.faultsim import WORD
 from repro.components.reference import (
@@ -1088,3 +1097,122 @@ def _compact(
             remaining = survivors
     kept.reverse()
     return kept
+
+
+# ----------------------------------------------------------------------
+# Transition-fault analysis as it stood before word-parallel stuck-at
+# detections: every (capture pattern, fault) question is one single-
+# pattern, single-fault call into the oracle fault simulator above.
+# ----------------------------------------------------------------------
+class DelayAnalyzer:
+    """Transition-fault analysis over a netlist and pattern sequences."""
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        self.sim = FaultSimulator(netlist)
+        self.faults = enumerate_transition_faults(netlist)
+
+    # ------------------------------------------------------------------
+    def _net_values(self, pattern: int) -> list[int]:
+        pi_map = {
+            pi: (pattern >> i) & 1 for i, pi in enumerate(self.netlist.inputs)
+        }
+        return self.netlist.evaluate(pi_map, 1)
+
+    def _detects_stuck(self, pattern: int, fault: Fault) -> bool:
+        return bool(self.sim.simulate_word([pattern], [fault])[fault])
+
+    def pair_detects(self, init: int, capture: int, fault: TransitionFault) -> bool:
+        """Does the ordered pair (init, capture) detect ``fault``?
+
+        init must set the pre-transition value; capture must flip the
+        net and observe the stuck-at equivalent.
+        """
+        pre = 0 if fault.rising else 1
+        init_values = self._net_values(init)
+        if init_values[fault.net] != pre:
+            return False
+        capture_values = self._net_values(capture)
+        if capture_values[fault.net] != 1 - pre:
+            return False
+        return self._detects_stuck(capture, fault.stuck_equivalent)
+
+    # ------------------------------------------------------------------
+    def coverage_of_sequence(self, patterns: list[int]) -> DelayCoverage:
+        """Transition coverage of *consecutive* pairs in one sequence.
+
+        This is exactly what the paper's functional application gives for
+        free: pattern k initialises the pair (k, k+1) launches/captures.
+        """
+        detected: set[TransitionFault] = set()
+        if len(patterns) >= 2:
+            value_cache = [self._net_values(p) for p in patterns]
+            remaining = list(self.faults)
+            for fault in remaining:
+                if fault in detected:
+                    continue
+                stuck = fault.stuck_equivalent
+                pre = 0 if fault.rising else 1
+                for k in range(len(patterns) - 1):
+                    if value_cache[k][fault.net] != pre:
+                        continue
+                    if value_cache[k + 1][fault.net] != 1 - pre:
+                        continue
+                    if self._detects_stuck(patterns[k + 1], stuck):
+                        detected.add(fault)
+                        break
+        return DelayCoverage(
+            netlist_name=self.netlist.name,
+            num_faults=len(self.faults),
+            detected=len(detected),
+            sequence_length=len(patterns),
+        )
+
+    def augment_sequence(
+        self, patterns: list[int], max_extra: int = 64
+    ) -> list[int]:
+        """Greedily append initialisation patterns to raise pair coverage.
+
+        For each uncovered transition fault whose stuck-at equivalent is
+        detected by some pattern ``c`` in the set, prepend-before-``c`` a
+        copy of a pattern that holds the pre-transition value (reusing
+        set members only — no new ATPG), until the budget runs out.
+        """
+        sequence = list(patterns)
+        extra = 0
+        value_cache = {p: self._net_values(p) for p in set(sequence)}
+
+        for fault in self.faults:
+            if extra >= max_extra:
+                break
+            pre = 0 if fault.rising else 1
+            stuck = fault.stuck_equivalent
+            # already covered by a consecutive pair?
+            if any(
+                value_cache[sequence[k]][fault.net] == pre
+                and value_cache[sequence[k + 1]][fault.net] == 1 - pre
+                and self._detects_stuck(sequence[k + 1], stuck)
+                for k in range(len(sequence) - 1)
+            ):
+                continue
+            capture = next(
+                (
+                    p
+                    for p in sequence
+                    if value_cache[p][fault.net] == 1 - pre
+                    and self._detects_stuck(p, stuck)
+                ),
+                None,
+            )
+            if capture is None:
+                continue
+            init = next(
+                (p for p in sequence if value_cache[p][fault.net] == pre),
+                None,
+            )
+            if init is None:
+                continue
+            position = sequence.index(capture)
+            sequence.insert(position, init)
+            extra += 1
+        return sequence
