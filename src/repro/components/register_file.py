@@ -80,6 +80,13 @@ class MultiPortMemory:
             )
         self._data[addr] = value & mask(self.width)
 
+    @property
+    def words(self) -> list[int]:
+        """The live word list, for a caller that has already checked the
+        addresses and port counts it will use (the TTA simulator's decoded
+        program); writers must store ``width``-bit values."""
+        return self._data
+
     def peek(self, addr: int) -> int:
         """Debug read that bypasses port accounting."""
         self._check_addr(addr)

@@ -176,16 +176,19 @@ def energy_report(
     error without masking genuine internal failures.)
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
-    activity-traced simulation as the ``simulate`` phase and the model
-    fold as ``energy_model``; the default records nothing.
+    activity-traced simulation as the ``simulate`` phase (program
+    encoding and decoding included), counts its cycles as
+    ``sim_cycles`` and times the model fold as ``energy_model``; the
+    default records nothing.
     """
     from repro.energy.model import technology_by_name
 
     if tech is None:
         tech = technology_by_name("default")
-    sim = TTASimulator(arch, program, activity=True)
     with metrics.phase("simulate"):
+        sim = TTASimulator(arch, program, activity=True)
         result = sim.run(max_cycles=max_cycles)
+    metrics.count("sim_cycles", result.cycles)
     if not result.halted:
         raise ValueError(
             f"{program.name} on {arch.name}: no halt within "

@@ -10,7 +10,8 @@ starts its operation (hybrid pipelining, Fig. 3).
 * :mod:`repro.tta.isa` — moves, guards, instructions, programs;
 * :mod:`repro.tta.timing` — the transport timing relations (eqs. 2-8)
   as a program validator;
-* :mod:`repro.tta.simulator` — a cycle-accurate interpreter;
+* :mod:`repro.tta.simulator` — a cycle-accurate simulator that decodes
+  its program once and runs the decoded moves;
 * :mod:`repro.tta.assembler` — a small textual move-assembly format.
 """
 

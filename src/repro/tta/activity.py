@@ -27,7 +27,9 @@ Event taxonomy (what is counted, and against what previous value):
   flips.
 
 All counters are exact integers; the trace is purely observational and
-never alters simulation semantics.
+never alters simulation semantics.  The simulator counts into its own
+working tables and fills the trace when a run returns (see
+:mod:`repro.tta.simulator`).
 """
 
 from __future__ import annotations
@@ -42,13 +44,17 @@ def hamming(a: int, b: int) -> int:
     return popcount(a ^ b)
 
 
-def _bump(table: dict, key, amount: int) -> None:
-    table[key] = table.get(key, 0) + amount
-
-
 @dataclass
 class ActivityTrace:
-    """Per-run switching-activity ledger (filled by the simulator)."""
+    """Per-run switching-activity ledger (filled by the simulator).
+
+    Every dict is in *first-touch* order: a key appears when the run
+    first records an event for it (a toggle count of 0 included), and
+    keys follow the order of those first events.  The order is part of
+    the result: :func:`repro.energy.report.breakdown_from_trace` sums
+    floating-point energies in dict order, so a different order could
+    change the last bits of an energy.
+    """
 
     width: int
     cycles: int = 0
@@ -73,37 +79,6 @@ class ActivityTrace:
     guard_toggles: int = 0
     fetch_words: int = 0
     fetch_toggles: int = 0
-
-    # ------------------------------------------------------------------
-    # recording (the simulator's hooks)
-    # ------------------------------------------------------------------
-    def record_bus(self, bus: int, old: int, new: int) -> None:
-        _bump(self.bus_toggles, bus, hamming(old, new))
-        _bump(self.bus_transports, bus, 1)
-
-    def record_socket(self, unit: str, port: str) -> None:
-        _bump(self.socket_transports, (unit, port), 1)
-
-    def record_port(self, unit: str, port: str, old: int, new: int) -> None:
-        _bump(self.port_toggles, (unit, port), hamming(old, new))
-
-    def record_activation(self, unit: str) -> None:
-        _bump(self.fu_activations, unit, 1)
-
-    def record_rf_read(self, unit: str, old: int, new: int) -> None:
-        _bump(self.rf_reads, unit, 1)
-        _bump(self.rf_read_toggles, unit, hamming(old, new))
-
-    def record_rf_write(self, unit: str, old: int, new: int) -> None:
-        _bump(self.rf_writes, unit, 1)
-        _bump(self.rf_write_toggles, unit, hamming(old, new))
-
-    def record_fetch(self, old_word: int, new_word: int) -> None:
-        self.fetch_words += 1
-        self.fetch_toggles += hamming(old_word, new_word)
-
-    def record_guard(self, old: int, new: int) -> None:
-        self.guard_toggles += hamming(old & 1, new & 1)
 
     # ------------------------------------------------------------------
     # views

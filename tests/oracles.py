@@ -7,7 +7,9 @@
   executed, then classified a second time by ``_record_transport`` /
   ``_record_commit`` against shadow copies of the port registers.  Its
   ``SimResult``, final state and ``ActivityTrace`` pin the shipped
-  simulator's, down to dict key order.
+  simulator's, down to dict key order.  It records through
+  :class:`RecordingTrace`, the per-event hooks the trace had before the
+  shipped simulator counted into its own working tables.
 * The ATPG pipeline as it stood before the cell library's gate-logic
   table and ``fault_cone``: :func:`evaluate_cell`, :func:`eval3`,
   :class:`Podem` (faulty machine re-simulated over the whole netlist),
@@ -49,7 +51,7 @@ from repro.components.spec import ComponentKind
 from repro.explore.pareto import dominates
 from repro.netlist.cells import CellType
 from repro.netlist.netlist import Netlist
-from repro.tta.activity import ActivityTrace
+from repro.tta.activity import ActivityTrace, hamming
 from repro.tta.arch import Architecture
 from repro.tta.isa import GUARD_UNIT, Guard, Instruction, Literal, Move, PortRef, Program
 from repro.tta.simulator import BRANCH_DELAY_SLOTS, DMEM_WORDS, SimulationError
@@ -93,6 +95,42 @@ _LSU_MODE = {
     "ld_lu": "low_unsigned",
     "ld_h": "high",
 }
+
+
+def _bump(table: dict, key, amount: int) -> None:
+    table[key] = table.get(key, 0) + amount
+
+
+class RecordingTrace(ActivityTrace):
+    """:class:`ActivityTrace` with one recording hook per event kind."""
+
+    def record_bus(self, bus: int, old: int, new: int) -> None:
+        _bump(self.bus_toggles, bus, hamming(old, new))
+        _bump(self.bus_transports, bus, 1)
+
+    def record_socket(self, unit: str, port: str) -> None:
+        _bump(self.socket_transports, (unit, port), 1)
+
+    def record_port(self, unit: str, port: str, old: int, new: int) -> None:
+        _bump(self.port_toggles, (unit, port), hamming(old, new))
+
+    def record_activation(self, unit: str) -> None:
+        _bump(self.fu_activations, unit, 1)
+
+    def record_rf_read(self, unit: str, old: int, new: int) -> None:
+        _bump(self.rf_reads, unit, 1)
+        _bump(self.rf_read_toggles, unit, hamming(old, new))
+
+    def record_rf_write(self, unit: str, old: int, new: int) -> None:
+        _bump(self.rf_writes, unit, 1)
+        _bump(self.rf_write_toggles, unit, hamming(old, new))
+
+    def record_fetch(self, old_word: int, new_word: int) -> None:
+        self.fetch_words += 1
+        self.fetch_toggles += hamming(old_word, new_word)
+
+    def record_guard(self, old: int, new: int) -> None:
+        self.guard_toggles += hamming(old & 1, new & 1)
 
 
 @dataclass
@@ -156,11 +194,11 @@ class TTASimulator:
         # Switching-activity tracing is opt-in: when off, ``self.activity``
         # is None and the hot path pays only dead ``is not None`` checks —
         # the run loop executes identically (pinned by tests) either way.
-        self.activity: ActivityTrace | None = None
+        self.activity: RecordingTrace | None = None
         if activity:
             from repro.tta.encoding import MoveEncoder
 
-            self.activity = ActivityTrace(width=arch.width)
+            self.activity = RecordingTrace(width=arch.width)
             self._act_words = MoveEncoder(arch).encode_program(program)
             self._act_last_word = 0
             self._act_bus = [0] * arch.num_buses

@@ -32,6 +32,8 @@ from repro.energy.report import breakdown_from_trace
 from repro.explore import ArchConfig, RFConfig, build_architecture
 from repro.explore.space import dsp_space, small_space
 from repro.study import StudySpec, objective_by_name, pareto_front, run_study
+from repro.telemetry import Tracer, load_trace, summarize_trace
+from repro.telemetry.summarize import format_trace_summary
 from repro.tta.activity import ActivityTrace, hamming
 from repro.tta.arch import Architecture, UnitInstance
 from repro.tta.isa import Instruction, Literal, Move, PortRef, Program
@@ -359,6 +361,30 @@ def test_energy_study_end_to_end(space, tmp_path):
     assert [
         (p.label, p.energy) for p in pooled.pareto
     ] == [(p.label, p.energy) for p in front]
+
+
+def test_energy_study_counts_simulated_cycles(tmp_path):
+    """A collected energy study counts its simulated cycles as
+    ``sim_cycles`` (one traced simulation per energy), and ``trace
+    summarize`` prints the counter."""
+    path = tmp_path / "energy.jsonl"
+    with Tracer(path) as tracer:
+        run = run_study(
+            StudySpec(
+                name="sim-cycles", workloads=("gcd",), space="small",
+                objectives=("cycles", "area", "energy"),
+            ),
+            tracer=tracer,
+            collect_metrics=True,
+        ).single
+    simulated = [p for p in run.result.points if p.energy is not None]
+    counters = run.stats.counters
+    assert counters["energy_simulated"] == len(simulated) > 1
+    workload = build_workload("gcd")
+    expected = sum(energy_breakdown_of(p, workload).cycles for p in simulated)
+    assert counters["sim_cycles"] == expected
+    text = format_trace_summary(summarize_trace(load_trace(path)))
+    assert f"sim_cycles={expected}" in text
 
 
 def test_energy_cache_keyed_by_technology(tmp_path):

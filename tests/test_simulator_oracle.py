@@ -1,12 +1,16 @@
 """Differential test: the simulator against its two-pass predecessor.
 
-The shipped :class:`~repro.tta.simulator.TTASimulator` records switching
-activity inside its one execution pass; ``tests.oracles.TTASimulator``
-is the earlier simulator that executed each move and then classified it
-again for the trace.  Every run must agree on the result, the final
-architectural state and every :class:`~repro.tta.activity.ActivityTrace`
-field -- dicts compared as item lists, because the energy model sums in
-key order.
+The shipped :class:`~repro.tta.simulator.TTASimulator` runs a program
+decoded once and counts switching activity by resolved ids;
+``tests.oracles.TTASimulator`` is the earlier interpreter that executed
+each move and then classified it again for the trace.  Every run must
+agree on the result, the final architectural state and every
+:class:`~repro.tta.activity.ActivityTrace` field -- dicts compared as
+item lists, because the energy model sums in key order.  Faulty programs
+must raise the same exception at the same cycle, and a run split by
+``max_cycles`` must leave what the oracle leaves.
+
+``tests/simulator_corpus.py`` loops :func:`_check` over a larger grid.
 """
 
 from __future__ import annotations
@@ -21,9 +25,13 @@ from repro.explore.evaluate import EvaluationContext
 from repro.explore.space import build_architecture_cached, space_by_name
 from repro.study import workload_profile
 from repro.tta.activity import ActivityTrace
-from repro.tta.simulator import TTASimulator
+from repro.tta.arch import ArchitectureError
+from repro.tta.encoding import EncodingError
+from repro.tta.isa import Guard, Instruction, Literal, Move, PortRef, Program
+from repro.tta.simulator import DMEM_WORDS, SimulationError, TTASimulator
 
 from tests import oracles
+from tests.conftest import make_arch
 
 MAX_CYCLES = 5_000_000
 #: crypt runs long; two crypt-space templates stand in for its grid.
@@ -46,6 +54,11 @@ def _snapshot(sim, result) -> dict:
     trace = sim.activity
     return {
         "result": dataclasses.astuple(result),
+        "pc": sim.pc,
+        "rf": [
+            [sim.rf_value(rf.name, reg) for reg in range(rf.spec.num_regs)]
+            for rf in sim.arch.rfs
+        ],
         "dmem": _items(sim.dmem),
         "guards": sim.guards,
         "trace": None if trace is None else [
@@ -92,3 +105,216 @@ def test_simulator_matches_oracle(workload):
 def test_crypt_traced_matches_oracle(label):
     config = next(c for c in space_by_name("crypt") if c.label() == label)
     assert _check("crypt", config, 8, activity=True)
+
+
+# ----------------------------------------------------------------------
+# error paths and split runs
+# ----------------------------------------------------------------------
+#: One 4-word RF with one read and one write port; 32 bits wide, so an
+#: LSU address can reach past ``DMEM_WORDS``.
+FAULT_ARCH = make_arch(3, width=32, rf_setups=((4, 1, 1),), with_mul=True)
+
+
+def _move(src, dst: str, **fields) -> Move:
+    """A move from ``unit.port`` (or an int literal) to ``unit.port``."""
+    source = Literal(src) if isinstance(src, int) else PortRef(*src.split("."))
+    return Move(source, PortRef(*dst.split(".")), **fields)
+
+
+#: fault -> (moves of the faulting instruction, error, message fragment)
+FAULTS = {
+    "result read before any result": (
+        [_move("alu0.y", "rf0.w0", dst_reg=0)],
+        SimulationError, "read of alu0.y before any result (eq. 3)",
+    ),
+    "rf read-port overflow": (
+        [_move("rf0.r0", "alu0.a", src_reg=0),
+         _move("rf0.r0", "guard.g1", src_reg=1)],
+        RuntimeError, "read-port overflow: 2 reads in one cycle",
+    ),
+    "rf write-port overflow": (
+        [_move(1, "rf0.w0", dst_reg=0), _move(2, "rf0.w0", dst_reg=1)],
+        RuntimeError, "write-port overflow: 2 writes in one cycle",
+    ),
+    "rf read without register index": (
+        [_move("rf0.r0", "alu0.a")],
+        SimulationError, "RF read rf0.r0 without register index",
+    ),
+    "rf read index out of range": (
+        [_move("rf0.r0", "alu0.a", src_reg=4)],
+        IndexError, "address 4 outside [0, 4)",
+    ),
+    "rf write without register index": (
+        [_move(1, "rf0.w0")],
+        SimulationError, "RF write rf0.w0 without register index",
+    ),
+    "rf write index out of range": (
+        [_move(1, "rf0.w0", dst_reg=-1)],
+        IndexError, "address -1 outside [0, 4)",
+    ),
+    "bad guard name read": (
+        [_move("guard.gx", "alu0.a")],
+        SimulationError, "bad guard register name 'gx'",
+    ),
+    "bad guard name write": (
+        [_move(1, "guard.x0")],
+        SimulationError, "bad guard register name 'x0'",
+    ),
+    "guard index out of range": (
+        [_move(1, "alu0.a", guard=Guard(9))],
+        IndexError, "list index out of range",
+    ),
+    "guard register write out of range": (
+        [_move(1, "guard.g7")],
+        IndexError, "list assignment index out of range",
+    ),
+    "unknown port": (
+        [_move(1, "alu0.q")], SimulationError, "unknown port alu0.q",
+    ),
+    "unknown unit": (
+        [_move(1, "nope.a")], ArchitectureError, "no unit named 'nope'",
+    ),
+    "write to an unwritable unit": (
+        [_move(1, "imm0.value")],
+        SimulationError, "imm0.value is not a writable unit",
+    ),
+    "read from an unreadable unit": (
+        [_move("pc.target", "alu0.a")],
+        SimulationError, "pc.target is not a readable unit",
+    ),
+    "trigger without opcode": (
+        [_move(1, "alu0.b")], SimulationError, "trigger on alu0 without opcode",
+    ),
+    "opcode the unit lacks": (
+        [_move(1, "alu0.b", opcode="jump")],
+        SimulationError, "alu0 cannot execute 'jump'",
+    ),
+    "pc trigger without jump": (
+        [_move(1, "pc.target", opcode="add")],
+        SimulationError, "PC trigger with opcode 'add'",
+    ),
+    "lsu address out of range": (
+        [_move(DMEM_WORDS + 5, "lsu0.addr", opcode="ld")],
+        SimulationError, f"data address {DMEM_WORDS + 5:#x} out of range",
+    ),
+    "bad lsu opcode": (
+        [_move(1, "lsu0.addr", opcode="add")],
+        SimulationError, "LSU opcode 'add' invalid",
+    ),
+}
+
+
+def _program(name: str, *instructions: tuple[list[Move], bool]) -> Program:
+    """One instruction per (moves, halt): the moves on the first buses."""
+    program = Program(name=name)
+    for moves, halt in instructions:
+        pad = [None] * (FAULT_ARCH.num_buses - len(moves))
+        program.append(Instruction(slots=moves + pad, halt=halt))
+    return program
+
+
+def _fault_program(moves: list[Move], variant: str) -> Program:
+    """Prologue, the faulting instruction, a halting nop.
+
+    ``variant``: ``"runs"`` executes the faulting instruction in cycle 1;
+    ``"squashed"`` guards each of its moves with the false guard g0;
+    ``"after halt"`` halts the prologue, so it never issues.
+    """
+    if variant == "squashed":
+        moves = [dataclasses.replace(m, guard=Guard(0)) for m in moves]
+    return _program(
+        variant,
+        ([_move(3, "rf0.w0", dst_reg=2)], variant == "after halt"),
+        (moves, False),
+        ([], True),
+    )
+
+
+def _outcome(simulator, program: Program, activity: bool):
+    """The run's snapshot, or (error type, message, cycle) if it raised;
+    the cycle is None when construction raised."""
+    sim = None
+    try:
+        sim = simulator(FAULT_ARCH, program, activity=activity)
+        result = sim.run(max_cycles=100)
+    except Exception as exc:
+        return type(exc), str(exc), None if sim is None else sim.cycle
+    return _snapshot(sim, result)
+
+
+@pytest.mark.parametrize("activity", [False, True])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_raises_like_oracle(fault, activity):
+    """Same exception, message and cycle as the oracle; squashed or
+    never issued, the same faulting move raises nothing."""
+    moves, error, message = FAULTS[fault]
+    outcomes = {}
+    for variant in ("runs", "squashed", "after halt"):
+        program = _fault_program(moves, variant)
+        shipped = _outcome(TTASimulator, program, activity)
+        assert shipped == _outcome(oracles.TTASimulator, program, activity), (
+            variant
+        )
+        outcomes[variant] = shipped
+    raised = outcomes["runs"]
+    if activity:
+        # A traced run encodes the program up front: the encoder may
+        # reject the move at construction, and a negative register
+        # index encodes to a negative word whose fetch toggles cannot be
+        # counted, squashed or not.  The oracle's outcome is the spec.
+        assert isinstance(raised, tuple) and raised[2] in (None, 1)
+        assert raised[2] is not None or raised[0] is EncodingError
+        assert raised[2] is None or isinstance(outcomes["after halt"], dict)
+        return
+    assert raised == (error, raised[1], 1) and message in raised[1]
+    assert isinstance(outcomes["squashed"], dict)
+    assert isinstance(outcomes["after halt"], dict)
+
+
+@pytest.mark.parametrize("activity", [False, True])
+@pytest.mark.parametrize("target", range(3, 9))
+def test_jump_targets_wrap_like_oracle(target, activity):
+    """A jump target is taken modulo the program length plus one: the
+    length itself ends the program, longer targets wrap around."""
+    program = _program(
+        "wrap",
+        ([_move(target, "pc.target", opcode="jump")], False),
+        ([], False),                                        # delay slot
+        ([_move(1, "rf0.w0", dst_reg=0)], False),
+        ([], True),
+    )
+    snapshots = []
+    for simulator in (TTASimulator, oracles.TTASimulator):
+        sim = simulator(FAULT_ARCH, program, activity=activity)
+        snapshots.append(_snapshot(sim, sim.run(max_cycles=50)))
+    shipped, oracle = snapshots
+    assert shipped == oracle
+
+
+@pytest.mark.parametrize("activity", [False, True])
+@pytest.mark.parametrize(
+    "workload,label",
+    [("gcd", "b1-alu1-8r1R1W"), ("dotprod", "b2-alu1-mul1-8r1R1W")],
+)
+def test_split_runs_match_oracle(workload, label, activity):
+    """``run(max_cycles=k)``, ``run()``, ``run()`` again after the halt:
+    every leg's result, state and trace as the oracle's, for every k
+    (latency-2 loads and multiplies are in flight at some splits)."""
+    config = next(
+        c for s in ("small", "dsp") for c in space_by_name(s) if c.label() == label
+    )
+    point = _context(workload, 8).evaluate(config, keep_compile_result=True)
+    program = point.compile_result.program
+    arch = build_architecture_cached(config, 8)
+    cycles = TTASimulator(arch, program).run().cycles
+    for k in range(1, cycles + 1):
+        legs = []
+        for simulator in (TTASimulator, oracles.TTASimulator):
+            sim = simulator(arch, program, activity=activity)
+            legs.append([
+                _snapshot(sim, sim.run(max_cycles=limit))
+                for limit in (k, MAX_CYCLES, MAX_CYCLES)
+            ])
+        shipped, oracle = legs
+        assert shipped == oracle, f"split at {k}"
+        assert shipped[1]["result"][1], "the second leg halts"
