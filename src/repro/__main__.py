@@ -771,7 +771,8 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size; 1 = serial (default)")
+                   help="process-pool size for the sweep and the front's "
+                        "simulations; 1 = serial (default)")
     p.add_argument("--profile", action="store_true",
                    help="dump cProfile top-25 (cumulative) to stderr")
     p.add_argument("-q", "--quiet", action="store_true",

@@ -229,7 +229,9 @@ class EvaluationContext:
 # workload/profile are identical for every configuration of a sweep, so
 # they travel once per worker (via the pool initializer), which then
 # pins a per-worker EvaluationContext — each worker gets the same
-# shared-work caching the serial loop enjoys.
+# shared-work caching the serial loop enjoys.  The study's post-pass
+# simulations (``repro.study.engine.simulate_point_worker``) recompile
+# their points through the same pinned context.
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: dict[str, EvaluationContext] = {}
 
@@ -241,22 +243,28 @@ def init_evaluation_worker(
     _WORKER_CONTEXT["context"] = EvaluationContext(workload, profile, width)
 
 
-def evaluate_config_worker(
-    config: ArchConfig,
-) -> tuple[EvaluatedPoint, dict]:
-    """Evaluate one configuration; return it with its telemetry delta.
+def worker_context() -> EvaluationContext:
+    """This worker's pinned context, measuring into a fresh collector.
 
-    Pool workers cannot write the parent's trace, so each call measures
-    into a fresh collector and returns ``(point, snapshot)``; the
-    parent merges the snapshot into its own collector (a no-op when it
-    is not collecting).  Per-configuration deltas, rather than
-    per-worker totals, make the merged counters independent of how the
-    pool interleaved the work.
+    Pool workers cannot write the parent's trace, so each task measures
+    into its own collector and returns its snapshot next to its result;
+    the parent merges the snapshot into its own collector (a no-op when
+    it is not collecting).  Per-task deltas, rather than per-worker
+    totals, make the merged counters independent of how the pool
+    interleaved the work.
     """
     context = _WORKER_CONTEXT.get("context")
     if context is None:
         raise RuntimeError("init_evaluation_worker() was not called")
     context.metrics = MetricsCollector()
+    return context
+
+
+def evaluate_config_worker(
+    config: ArchConfig,
+) -> tuple[EvaluatedPoint, dict]:
+    """Evaluate one configuration; return ``(point, snapshot)``."""
+    context = worker_context()
     point = context.evaluate(config)
     return point, context.metrics.snapshot()
 

@@ -1,8 +1,11 @@
 """Fault-isolated evaluation fan-out: serial guard and pool supervisor.
 
 The study evaluator (:class:`~repro.study.engine.CachedEvaluator`)
-routes both of its fan-out paths through here so one bad configuration
-can no longer abort a sweep:
+routes both of its sweep fan-out paths through here so one bad
+configuration can no longer abort a sweep, and ``Study._post_passes``
+fans its front's energy and calibration simulations out through
+:func:`iter_pool_isolated` (under ``fail_fast``, with no cancel token);
+those are the only callers.  The two paths:
 
 * :func:`call_guarded` wraps one serial evaluation in the
   :class:`~repro.resilience.policy.FaultPolicy` attempt loop;
@@ -103,7 +106,9 @@ def iter_pool_isolated(
     rebuilds the pool and switches to solo submission.  Cancellation
     drains the in-flight work, yields every finished pair not yet
     yielded in index order, and ends the stream with
-    :class:`StudyInterrupted`.
+    :class:`StudyInterrupted`.  However the stream ends, the pool is
+    shut down; unless a task is still queued or running, its workers
+    have exited by then.
     """
     policy = policy or FAIL_FAST
     total = len(configs)
@@ -263,4 +268,9 @@ def iter_pool_isolated(
     except KeyboardInterrupt:
         yield from drain()
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # With no task left running (the stream ended or drained), wait
+        # for the workers to exit, so none outlives the stream.  A task
+        # still queued or running (in flight when an error ended the
+        # stream, or orphaned by its deadline) is not waited for.
+        idle = all(f.done() for f in (*pending, *orphans))
+        pool.shutdown(wait=idle, cancel_futures=True)

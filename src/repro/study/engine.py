@@ -17,8 +17,9 @@ ResultCache`.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
@@ -27,13 +28,14 @@ from repro.apps.registry import build_workload, workload_entry
 from repro.campaign.cache import decode_entry, encode_entry
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.ir import IRFunction
-from repro.energy.attach import attach_energy
-from repro.energy.model import technology_by_name
+from repro.energy.attach import attach_energy, energy_breakdown_of
+from repro.energy.model import TechnologyParameters, technology_by_name
 from repro.explore.evaluate import (
     EvaluatedPoint,
     EvaluationContext,
     evaluate_config_worker,
     init_evaluation_worker,
+    worker_context,
 )
 from repro.explore.explorer import ExplorationResult
 from repro.explore.selection import SelectionResult, select_architecture
@@ -83,6 +85,17 @@ def _entry_profile(entry, width: int) -> tuple[tuple[str, int], ...]:
 def workload_profile(workload_name: str, width: int = 16) -> dict[str, int]:
     """Cached per-(workload, width) profile as a fresh dict."""
     return dict(_entry_profile(workload_entry(workload_name), width))
+
+
+def _pool_size(tasks: int, workers: int) -> int:
+    """Processes to fan ``tasks`` independent jobs out over; 1 = serial.
+
+    A pool can't win on a batch that gives each worker at most one
+    task (the iterative strategy's 2-3-config waves, a two-point
+    front): spinning it up re-initialises every worker's evaluation
+    context just to tear it down again.  Such batches run in process.
+    """
+    return workers if workers > 1 and tasks > workers else 1
 
 
 @dataclass(frozen=True)
@@ -348,13 +361,8 @@ class CachedEvaluator:
         self.metrics.count("proposed", len(configs))
         self.metrics.count("cache_hits", len(configs) - len(missing))
         self.metrics.count("evaluated", len(missing))
-        # A pool can't win on a batch that gives each worker at most
-        # one configuration (the iterative strategy's 2-3-config
-        # waves): spinning it up re-initialises every worker's
-        # evaluation context just to tear it down again.  Such batches
-        # run on the evaluator's own long-lived context.
-        serial = self.workers <= 1 or len(missing) <= self.workers
-        workers = 1 if serial else self.workers
+        # A serial batch runs on the evaluator's own long-lived context.
+        workers = _pool_size(len(missing), self.workers)
         if wave is not None:
             if self.progress is not None:
                 self.progress(
@@ -422,6 +430,36 @@ def run_search(
         evaluate_many=evaluator.evaluate_many,
     )
     return run_strategy(strategy, job, strategy_params)
+
+
+# ----------------------------------------------------------------------
+# post-pass simulations on the pool
+# ----------------------------------------------------------------------
+def simulate_point_worker(
+    point: EvaluatedPoint, tech: TechnologyParameters, calibrate: bool
+) -> tuple[object, dict]:
+    """Pool task: one front point's activity-traced simulation.
+
+    The point is recompiled through the worker's pinned context (see
+    :func:`~repro.explore.evaluate.init_evaluation_worker`) and
+    simulated by ``calibrate_point`` when ``calibrate`` is set, else by
+    ``energy_breakdown_of``: the calls the serial post-pass makes.
+    Returns ``(report or breakdown, snapshot)``; the snapshot keeps the
+    recompile's ``evaluations``, ``feasible`` and ``eval_seconds`` next
+    to the simulation's phases and ``sim_cycles``.
+    """
+    context = worker_context()
+    if calibrate:
+        from repro.rtl.calibrate import calibrate_point
+
+        simulate = calibrate_point
+    else:
+        simulate = energy_breakdown_of
+    outcome = simulate(
+        point, context.workload, width=context.width, tech=tech,
+        context=context, metrics=context.metrics,
+    )
+    return outcome, context.metrics.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -909,7 +947,14 @@ class Study:
         ran, the same program under the same technology, so each point
         is simulated once.  Values restored from the cache are kept;
         each pass stores its fresh values before the next starts.
-        Returns the post-pass cache hits and the calibration reports.
+
+        The test-cost pass is serial (ATPG is memoised per process).
+        The simulations fan out over a fault-isolated pool under the
+        sweep's rule (:func:`_pool_size`: more points to simulate than
+        workers); :meth:`_pooled_simulations` then applies the results
+        in front order, with the serial path's energies, reports,
+        events, counters and stores.  Returns the post-pass cache hits
+        and the calibration reports.
         """
         if (evaluator.march is None and evaluator.energy_model is None
                 and not self.calibrate_front):
@@ -931,6 +976,39 @@ class Study:
                 for point in todo:
                     evaluator._store(point)
 
+        todo = []
+        if evaluator.energy_model is not None:
+            todo = [p for p in front if p.energy is None]
+            hits += len(front) - len(todo)
+        simulated = (
+            front if self.calibrate_front
+            else [p for p in todo if p.feasible]
+        )
+        workers = _pool_size(len(simulated), self.workers)
+        if workers > 1:
+            reports = self._pooled_simulations(
+                simulated, evaluator, tech, workers
+            )
+        else:
+            reports = self._serial_simulations(front, todo, evaluator, tech)
+        for point in todo:
+            evaluator._store(point)
+        return hits, reports
+
+    def _trace_calibration(self, evaluator: CachedEvaluator, report) -> None:
+        self.tracer.event(
+            "calibration", run=evaluator.label, **report.to_dict()
+        )
+
+    def _serial_simulations(
+        self,
+        front: list[EvaluatedPoint],
+        todo: list[EvaluatedPoint],
+        evaluator: CachedEvaluator,
+        tech,
+    ) -> list:
+        """Calibrate the front, then simulate the ``todo`` points still
+        without an energy, in process; returns the reports."""
         reports = []
         if self.calibrate_front:
             # Imported here: calibration is opt-in, and the rtl package
@@ -944,13 +1022,9 @@ class Study:
                     metrics=evaluator.metrics,
                 )
                 reports.append(report)
-                self.tracer.event(
-                    "calibration", run=evaluator.label, **report.to_dict()
-                )
+                self._trace_calibration(evaluator, report)
 
         if evaluator.energy_model is not None:
-            todo = [p for p in front if p.energy is None]
-            hits += len(front) - len(todo)
             for point, report in zip(front, reports):
                 if point.energy is None:
                     evaluator.metrics.count("energy_simulated")
@@ -962,9 +1036,46 @@ class Study:
                     tech=tech, context=evaluator.context,
                     metrics=evaluator.metrics,
                 )
-            for point in todo:
-                evaluator._store(point)
-        return hits, reports
+        return reports
+
+    def _pooled_simulations(
+        self,
+        points: list[EvaluatedPoint],
+        evaluator: CachedEvaluator,
+        tech,
+        workers: int,
+    ) -> list:
+        """Simulate ``points`` on a pool; returns the reports.
+
+        Each worker pins the run's context (the sweep's initializer),
+        and :func:`simulate_point_worker` simulates one point per task.
+        The ``(index, outcome)`` stream arrives in submission order, so
+        events, energies and merged snapshots follow front order as on
+        the serial path.  No fault policy or cancel token: a failure
+        raises its own exception, as the serial path does.
+        """
+        calibrate = self.calibrate_front
+        reports = []
+        stream = iter_pool_isolated(
+            points,
+            partial(simulate_point_worker, tech=tech, calibrate=calibrate),
+            init_evaluation_worker,
+            (evaluator.workload, evaluator.profile, evaluator.width),
+            workers,
+        )
+        with closing(stream):
+            for index, (outcome, snapshot) in stream:
+                evaluator.metrics.merge(snapshot)
+                point = points[index]
+                breakdown = outcome
+                if calibrate:
+                    reports.append(outcome)
+                    self._trace_calibration(evaluator, outcome)
+                    breakdown = outcome.breakdown
+                if evaluator.energy_model is not None and point.energy is None:
+                    evaluator.metrics.count("energy_simulated")
+                    point.energy = round(breakdown.total, 3)
+        return reports
 
 
 def run_study(spec: StudySpec, **kw) -> StudyResult:

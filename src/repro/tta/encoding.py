@@ -41,6 +41,19 @@ def _bits_for(count: int) -> int:
     return max(1, (max(count, 1) - 1).bit_length() or 1)
 
 
+def _fit(field: str, value: int, bits: int) -> int:
+    """``value`` if it fits an unsigned ``bits``-bit field, else raise.
+
+    Unchecked, a too-large index spills into the next field and a
+    negative one makes the whole instruction word negative.
+    """
+    if not 0 <= value < 1 << bits:
+        raise EncodingError(
+            f"{field} {value} does not fit its {bits}-bit field"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class InstructionFormat:
     """Field widths derived from one architecture."""
@@ -144,13 +157,19 @@ class MoveEncoder:
 
     # ------------------------------------------------------------------
     def encode_move(self, move: Move) -> tuple[int, int | None]:
-        """Pack one move into its slot value; returns (slot, long_imm)."""
+        """Pack one move into its slot value; returns (slot, long_imm).
+
+        Raises :class:`EncodingError` for a port, unit or opcode the
+        format lacks, and for a register or guard index that is negative
+        or does not fit its field.
+        """
         fmt = self.format
         value = 0
 
         # guard field
         if move.guard is not None:
-            g = 1 | (move.guard.invert << 1) | (move.guard.index << 2)
+            index = _fit("guard index", move.guard.index, fmt.guard_bits - 2)
+            g = 1 | (move.guard.invert << 1) | (index << 2)
         else:
             g = 0
         value |= g
@@ -177,7 +196,7 @@ class MoveEncoder:
 
         # source register index / long-imm marker
         shift += fmt.src_addr_bits
-        src_index = move.src_reg or 0
+        src_index = _fit("src_reg", move.src_reg or 0, fmt.src_index_bits)
         if long_imm is not None:
             src_index = (1 << fmt.src_index_bits) - 1
         value |= src_index << shift
@@ -190,7 +209,8 @@ class MoveEncoder:
         value |= self._dst_id[key] << shift
 
         shift += fmt.dst_addr_bits
-        value |= (move.dst_reg or 0) << shift
+        dst_index = _fit("dst_reg", move.dst_reg or 0, fmt.dst_index_bits)
+        value |= dst_index << shift
 
         shift += fmt.dst_index_bits
         if move.opcode is not None:

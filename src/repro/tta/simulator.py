@@ -69,7 +69,7 @@ from repro.components.spec import ComponentKind
 from repro.tta.activity import ActivityTrace
 from repro.tta.arch import Architecture, ArchitectureError
 from repro.tta.isa import GUARD_UNIT, Literal, Move, Program
-from repro.util.bitops import mask, popcount
+from repro.util.bitops import mask
 
 #: Jump delay slots (moves into the PC take effect after this many extra
 #: instructions have issued).
@@ -530,12 +530,7 @@ class TTASimulator:
                 sample, plain, launches, moves, halt, word, checked = code[pc]
                 if traced:
                     fetched += 1
-                    flips = last_word ^ word
-                    # A negative register or guard index encodes to a
-                    # negative word, whose popcount raises.
-                    fetch_toggles += (
-                        flips.bit_count() if flips >= 0 else popcount(flips)
-                    )
+                    fetch_toggles += (last_word ^ word).bit_count()
                     last_word = word
 
                 # Begin-of-cycle: land the results due now, open RF ports.

@@ -9,6 +9,8 @@ objectives run end-to-end through the study engine — cache path and
 pool path included.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.apps import build_gcd_ir
@@ -385,6 +387,98 @@ def test_energy_study_counts_simulated_cycles(tmp_path):
     assert counters["sim_cycles"] == expected
     text = format_trace_summary(summarize_trace(load_trace(path)))
     assert f"sim_cycles={expected}" in text
+
+
+@pytest.mark.parametrize(
+    "workload,calibrate", [("gcd", False), ("checksum", True)]
+)
+def test_pooled_post_pass_matches_serial(
+    workload, calibrate, tmp_path, monkeypatch
+):
+    """At workers=2 the front's simulations (energy, or calibration
+    when ``calibrate_front`` is set) fan out over the pool; points,
+    front, selection, calibration reports, cache bytes, counters and
+    histogram sample counts equal the serial run's."""
+    from repro.study import Study, engine
+
+    pooled = []
+    real = engine.iter_pool_isolated
+
+    def spy(items, fn, *args, **kwargs):
+        if getattr(fn, "func", None) is engine.simulate_point_worker:
+            pooled.append(len(items))
+        return real(items, fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "iter_pool_isolated", spy)
+    spec = StudySpec(
+        name="pooled-post-pass", workloads=(workload,), space="small",
+        objectives=("cycles", "area", "energy"), select=True,
+    )
+    records = []
+    for workers in (1, 2):
+        root = tmp_path / f"workers{workers}"
+        run = Study(
+            spec, cache=ResultCache(root), workers=workers,
+            collect_metrics=True, calibrate_front=calibrate,
+        ).run().single
+        assert not multiprocessing.active_children(), "a worker outlived run()"
+        records.append({
+            "points": [
+                (p.label, p.area, p.cycles, p.code_size, p.energy)
+                for p in run.result.points
+            ],
+            "front": [p.label for p in run.pareto],
+            "selection": run.selection.point.label,
+            "calibrations": [r.to_dict() for r in run.calibrations],
+            "cache": {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()
+            },
+            "counters": run.stats.counters,
+            "samples": {
+                name: hist["count"]
+                for name, hist in run.stats.histograms.items()
+            },
+        })
+    base = pareto_front(run.result.points, ("cycles", "area"))
+    assert len(base) > 2
+    assert pooled == [len(base)], "only the workers=2 run pools its front"
+    assert all(p.energy is not None for p in base)
+    assert len(run.calibrations) == (len(base) if calibrate else 0)
+    serial, parallel = records
+    for key in serial:
+        assert parallel[key] == serial[key], key
+
+
+def test_pooled_post_pass_fails_like_serial(tmp_path):
+    """A front point whose simulation raises aborts the study with that
+    exception's type and message, pooled or serial."""
+    from repro.resilience import faults
+
+    cache = ResultCache(tmp_path)
+    base = dict(name="post-pass-fails", workloads=("gcd",), space="small")
+    run = run_study(
+        StudySpec(**base, objectives=("cycles", "area")), cache=cache
+    ).single
+    front = pareto_front(run.result.points, ("cycles", "area"))
+    assert len(front) > 2
+    energy = StudySpec(**base, objectives=("cycles", "area", "energy"))
+    raised = []
+    try:
+        for workers in (1, 2):
+            # The sweep is all cache hits: only the post-pass recompile
+            # of the poisoned front point evaluates it.
+            faults.install(
+                faults.FaultPlan(kind="raise", label=front[1].label)
+            )
+            with pytest.raises(faults.InjectedFault) as info:
+                run_study(energy, cache=cache, workers=workers)
+            raised.append((type(info.value), str(info.value)))
+    finally:
+        faults.clear()
+    assert raised[0] == raised[1] == (
+        faults.InjectedFault, "injected fault (firing 1)"
+    )
 
 
 def test_energy_cache_keyed_by_technology(tmp_path):

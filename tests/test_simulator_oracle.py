@@ -258,10 +258,11 @@ def test_fault_raises_like_oracle(fault, activity):
         outcomes[variant] = shipped
     raised = outcomes["runs"]
     if activity:
-        # A traced run encodes the program up front: the encoder may
-        # reject the move at construction, and a negative register
-        # index encodes to a negative word whose fetch toggles cannot be
-        # counted, squashed or not.  The oracle's outcome is the spec.
+        # A traced run encodes the program up front: the encoder
+        # rejects, at construction, a move whose port, unit or opcode
+        # the format lacks, or whose register or guard index does not
+        # fit its field, squashed or not.  The oracle's outcome is the
+        # spec.
         assert isinstance(raised, tuple) and raised[2] in (None, 1)
         assert raised[2] is not None or raised[0] is EncodingError
         assert raised[2] is None or isinstance(outcomes["after halt"], dict)

@@ -1,5 +1,7 @@
 """Binary move encoding: roundtrips and format properties."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import build_gcd_ir
@@ -131,3 +133,35 @@ def test_instruction_memory_grows_with_buses():
             compiled.program.instructions
         ) * encoder.format.instruction_bits
     assert widths[3] > widths[1]
+
+
+def test_register_index_must_fit_its_field():
+    """A 4-register RF gives 2 index bits: register 3 encodes, while 4,
+    7 and -1 would spill into the next field or make the word negative,
+    so they raise, naming the field."""
+    encoder = MoveEncoder(make_arch(2, rf_setups=((4, 1, 1),)))
+    assert encoder.format.src_index_bits == 2
+    assert encoder.format.dst_index_bits == 2
+    read = Move(src=PortRef("rf0", "r0"), dst=PortRef("alu0", "a"), src_reg=3)
+    write = Move(src=Literal(1), dst=PortRef("rf0", "w0"), dst_reg=3)
+    for move in (read, write):
+        slot, long_imm = encoder.encode_move(move)
+        assert slot > 0
+        assert _moves_equal(move, encoder.decode_move(slot, long_imm or 0))
+    for reg in (4, 7, -1):
+        with pytest.raises(EncodingError, match=f"src_reg {reg} .*2-bit"):
+            encoder.encode_move(dataclasses.replace(read, src_reg=reg))
+        with pytest.raises(EncodingError, match=f"dst_reg {reg} .*2-bit"):
+            encoder.encode_move(dataclasses.replace(write, dst_reg=reg))
+
+
+def test_guard_index_must_fit_its_field(arch2):
+    encoder = MoveEncoder(arch2)
+    bits = encoder.format.guard_bits - 2
+    move = Move(src=Literal(1), dst=PortRef("alu0", "a"))
+    last = dataclasses.replace(move, guard=Guard((1 << bits) - 1))
+    slot, _ = encoder.encode_move(last)
+    assert encoder.decode_move(slot, 0).guard == last.guard
+    for index in (1 << bits, -1):
+        with pytest.raises(EncodingError, match=f"guard index {index} "):
+            encoder.encode_move(dataclasses.replace(move, guard=Guard(index)))
