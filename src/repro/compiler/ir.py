@@ -183,9 +183,6 @@ class IRBuilder:
         self._current = blk
         return name
 
-    def switch_to(self, name: str) -> None:
-        self._current = self._fn.blocks[name]
-
     def data_word(self, addr: int, value: int) -> None:
         self._fn.data[addr] = value
 

@@ -92,11 +92,6 @@ class MultiPortMemory:
         self._check_addr(addr)
         return self._data[addr]
 
-    def poke(self, addr: int, value: int) -> None:
-        """Debug write that bypasses port accounting."""
-        self._check_addr(addr)
-        self._data[addr] = value & mask(self.width)
-
     def dump(self) -> list[int]:
         return list(self._data)
 

@@ -9,13 +9,6 @@ allocations are reused) and simulated once with activity tracing; the
 resulting breakdown total becomes ``point.energy``.  The RTL
 calibration gets its program from the same :func:`compiled_program`.
 
-:func:`attach_energy` is the serial path.  A study with a pool (more
-front points to simulate than workers) calls :func:`energy_breakdown_of`
-once per point in the pool's workers instead, each through the context
-its worker pinned, and sets the energies itself in front order
-(``repro.study.engine.simulate_point_worker``); the numbers are the
-same.
-
 Energies persist in one place only: the study's
 :class:`~repro.campaign.cache.ResultCache`, keyed by the technology
 fingerprint.  A point restored from it already carries its energy and

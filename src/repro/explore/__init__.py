@@ -24,7 +24,6 @@ from repro.explore.space import (
 from repro.explore.evaluate import (
     EvaluatedPoint,
     EvaluationContext,
-    evaluate_config_worker,
     init_evaluation_worker,
     required_fu_opcodes,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "default_seeds",
     "dominates",
     "dsp_space",
-    "evaluate_config_worker",
     "init_evaluation_worker",
     "neighbours",
     "normalize_points",

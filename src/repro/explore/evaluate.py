@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable
 
 from repro.compiler.ir import LOAD_OPCODES, IRFunction
 from repro.compiler.regalloc import (
@@ -121,7 +122,7 @@ class EvaluationContext:
         self.width = width
         #: Phase-timer/counter sink; the default :data:`NULL_METRICS`
         #: records nothing.  The pool worker swaps a fresh collector in
-        #: per call to ship per-configuration deltas.
+        #: per task to ship per-task deltas.
         self.metrics = metrics
         self.required_ops = required_fu_opcodes(workload)
         # RF arrangement -> (rewritten IR, allocation), or the message
@@ -223,15 +224,15 @@ class EvaluationContext:
 
 
 # ----------------------------------------------------------------------
-# process-pool entry points
+# the process-pool entry point
 #
 # ``ProcessPoolExecutor`` can only ship module-level callables, and the
-# workload/profile are identical for every configuration of a sweep, so
-# they travel once per worker (via the pool initializer), which then
-# pins a per-worker EvaluationContext — each worker gets the same
-# shared-work caching the serial loop enjoys.  The study's post-pass
-# simulations (``repro.study.engine.simulate_point_worker``) recompile
-# their points through the same pinned context.
+# workload/profile are identical for every task of a fan-out, so they
+# travel once per worker (via the pool initializer), which then pins a
+# per-worker EvaluationContext — each worker gets the same shared-work
+# caching the serial loop enjoys.  Every pooled task, a sweep
+# evaluation or a study's post-pass simulation, runs on that context
+# through :func:`run_worker_task`.
 # ----------------------------------------------------------------------
 _WORKER_CONTEXT: dict[str, EvaluationContext] = {}
 
@@ -243,30 +244,23 @@ def init_evaluation_worker(
     _WORKER_CONTEXT["context"] = EvaluationContext(workload, profile, width)
 
 
-def worker_context() -> EvaluationContext:
-    """This worker's pinned context, measuring into a fresh collector.
+def run_worker_task(
+    task: Callable[[EvaluationContext, object], object], item: object
+) -> tuple[object, dict]:
+    """Run ``task(context, item)`` on this worker's pinned context.
 
-    Pool workers cannot write the parent's trace, so each task measures
-    into its own collector and returns its snapshot next to its result;
-    the parent merges the snapshot into its own collector (a no-op when
-    it is not collecting).  Per-task deltas, rather than per-worker
-    totals, make the merged counters independent of how the pool
-    interleaved the work.
+    Returns ``(outcome, snapshot)``.  Pool workers cannot write the
+    parent's trace, so each task measures into a fresh collector and
+    ships its snapshot next to its outcome; the parent merges it into
+    its own collector (a no-op when it is not collecting).  Per-task
+    deltas, rather than per-worker totals, make the merged counters
+    independent of how the pool interleaved the work.
     """
     context = _WORKER_CONTEXT.get("context")
     if context is None:
         raise RuntimeError("init_evaluation_worker() was not called")
     context.metrics = MetricsCollector()
-    return context
-
-
-def evaluate_config_worker(
-    config: ArchConfig,
-) -> tuple[EvaluatedPoint, dict]:
-    """Evaluate one configuration; return ``(point, snapshot)``."""
-    context = worker_context()
-    point = context.evaluate(config)
-    return point, context.metrics.snapshot()
+    return task(context, item), context.metrics.snapshot()
 
 
 def architecture_of(point: EvaluatedPoint, width: int = 16) -> Architecture:

@@ -165,14 +165,6 @@ def clear() -> None:
     _CALLS = 0
 
 
-def reload_env() -> FaultPlan | None:
-    """Re-read ``REPRO_FAULT_INJECT`` (tests that mutate the env)."""
-    global _ACTIVE, _CALLS
-    _ACTIVE = _from_env()
-    _CALLS = 0
-    return _ACTIVE
-
-
 def active() -> FaultPlan | None:
     return _ACTIVE
 

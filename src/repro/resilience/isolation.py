@@ -1,11 +1,10 @@
 """Fault-isolated evaluation fan-out: serial guard and pool supervisor.
 
-The study evaluator (:class:`~repro.study.engine.CachedEvaluator`)
-routes both of its sweep fan-out paths through here so one bad
-configuration can no longer abort a sweep, and ``Study._post_passes``
-fans its front's energy and calibration simulations out through
-:func:`iter_pool_isolated` (under ``fail_fast``, with no cancel token);
-those are the only callers.  The two paths:
+The study evaluator's one fan-out (``CachedEvaluator._fresh`` in
+:mod:`repro.study.engine`) is the only caller: it routes both of its
+paths through here, so one bad configuration can no longer abort a
+sweep, and the post-passes' front simulations take the same paths
+(under ``fail_fast``, with no cancel token).  The two paths:
 
 * :func:`call_guarded` wraps one serial evaluation in the
   :class:`~repro.resilience.policy.FaultPolicy` attempt loop;

@@ -28,14 +28,13 @@ from repro.apps.registry import build_workload, workload_entry
 from repro.campaign.cache import decode_entry, encode_entry
 from repro.compiler.interp import IRInterpreter
 from repro.compiler.ir import IRFunction
-from repro.energy.attach import attach_energy, energy_breakdown_of
+from repro.energy.attach import attach_energy
 from repro.energy.model import TechnologyParameters, technology_by_name
 from repro.explore.evaluate import (
     EvaluatedPoint,
     EvaluationContext,
-    evaluate_config_worker,
     init_evaluation_worker,
-    worker_context,
+    run_worker_task,
 )
 from repro.explore.explorer import ExplorationResult
 from repro.explore.selection import SelectionResult, select_architecture
@@ -303,41 +302,53 @@ class CachedEvaluator:
         return point
 
     def _fresh(
-        self, configs: list[ArchConfig], workers: int
-    ) -> Iterator[tuple[int, EvaluatedPoint | FailedPoint]]:
-        """Evaluate ``configs``, yielding ``(index, outcome)`` in order.
+        self,
+        task: Callable[[EvaluationContext, object], object],
+        items: list,
+        workers: int,
+        policy: FaultPolicy = FAIL_FAST,
+        token: CancelToken | None = None,
+    ) -> Iterator[tuple[int, object]]:
+        """Run ``task(context, item)`` per item, yielding ``(index,
+        outcome)`` in order: the one fan-out of per-point work.
 
-        Serially through the evaluator's own context (batch-per-wave
-        strategies reuse its shared-work caches), with a token check per
-        configuration; or through the fault-isolated pool supervisor,
-        merging each point's telemetry delta in submission order so the
-        counters do not depend on pool scheduling.  An outcome is a
-        :class:`FailedPoint` when a ``skip``/``retry`` policy gave up;
-        cancellation ends either stream with :class:`StudyInterrupted`.
+        The sweep's task is :meth:`EvaluationContext.evaluate`, the
+        post-passes' is :func:`simulate_point`; either pickles by name,
+        so the pool can ship it.  With one worker it runs serially on
+        the evaluator's own context (batch-per-wave strategies reuse its
+        shared-work caches), with a ``token`` check per item; otherwise
+        through the fault-isolated pool supervisor, on each worker's
+        pinned context, merging each task's telemetry delta in
+        submission order so the counters do not depend on pool
+        scheduling.  An outcome is a :class:`FailedPoint` when a
+        ``skip``/``retry`` ``policy`` gave up; cancellation ends either
+        stream with :class:`StudyInterrupted`.
         """
         if workers <= 1:
-            for index, config in enumerate(configs):
-                if self.token is not None:
-                    self.token.raise_if_cancelled()
+            for index, item in enumerate(items):
+                if token is not None:
+                    token.raise_if_cancelled()
                 yield index, call_guarded(
-                    self.context.evaluate, config, self.policy,
+                    partial(task, self.context), item, policy,
                     on_retry=self._on_retry,
                 )
             return
-        for index, outcome in iter_pool_isolated(
-            configs,
-            evaluate_config_worker,
+        stream = iter_pool_isolated(
+            items,
+            partial(run_worker_task, task),
             init_evaluation_worker,
             (self.workload, self.profile, self.width),
             workers,
-            policy=self.policy,
-            token=self.token,
+            policy=policy,
+            token=token,
             on_retry=self._on_retry,
-        ):
-            if not isinstance(outcome, FailedPoint):
-                outcome, snapshot = outcome
-                self.metrics.merge(snapshot)
-            yield index, outcome
+        )
+        with closing(stream):
+            for index, outcome in stream:
+                if not isinstance(outcome, FailedPoint):
+                    outcome, snapshot = outcome
+                    self.metrics.merge(snapshot)
+                yield index, outcome
 
     def _evaluate(
         self, configs: list[ArchConfig], wave: int | None = None
@@ -384,7 +395,8 @@ class CachedEvaluator:
                 self._trace_point(point, "cache", wave)
                 self._remember(point)
         for index, outcome in self._fresh(
-            [configs[i] for i in missing], workers
+            EvaluationContext.evaluate, [configs[i] for i in missing],
+            workers, self.policy, self.token,
         ):
             points[missing[index]] = self._accept(outcome, wave)
         return points
@@ -433,33 +445,37 @@ def run_search(
 
 
 # ----------------------------------------------------------------------
-# post-pass simulations on the pool
+# the post-pass simulation task
 # ----------------------------------------------------------------------
-def simulate_point_worker(
-    point: EvaluatedPoint, tech: TechnologyParameters, calibrate: bool
-) -> tuple[object, dict]:
-    """Pool task: one front point's activity-traced simulation.
+def simulate_point(
+    context: EvaluationContext,
+    point: EvaluatedPoint,
+    tech: TechnologyParameters,
+    calibrate: bool,
+) -> object:
+    """Fan-out task: one front point's activity-traced simulation.
 
-    The point is recompiled through the worker's pinned context (see
-    :func:`~repro.explore.evaluate.init_evaluation_worker`) and
-    simulated by ``calibrate_point`` when ``calibrate`` is set, else by
-    ``energy_breakdown_of``: the calls the serial post-pass makes.
-    Returns ``(report or breakdown, snapshot)``; the snapshot keeps the
-    recompile's ``evaluations``, ``feasible`` and ``eval_seconds`` next
-    to the simulation's phases and ``sim_cycles``.
+    The point is recompiled through ``context`` and simulated by
+    ``calibrate_point`` when ``calibrate`` is set, returning its report;
+    else by :func:`attach_energy`, returning the energy it sets.  Both
+    measure into the context's collector, so a pool worker's snapshot
+    keeps the recompile's ``evaluations``, ``feasible`` and
+    ``eval_seconds`` next to the simulation's phases and ``sim_cycles``.
     """
-    context = worker_context()
     if calibrate:
+        # Imported here: calibration is opt-in, and the rtl package
+        # pulls the whole elaboration stack with it.
         from repro.rtl.calibrate import calibrate_point
 
-        simulate = calibrate_point
-    else:
-        simulate = energy_breakdown_of
-    outcome = simulate(
-        point, context.workload, width=context.width, tech=tech,
+        return calibrate_point(
+            point, context.workload, width=context.width, tech=tech,
+            context=context, metrics=context.metrics,
+        )
+    attach_energy(
+        [point], context.workload, width=context.width, tech=tech,
         context=context, metrics=context.metrics,
     )
-    return outcome, context.metrics.snapshot()
+    return point.energy
 
 
 # ----------------------------------------------------------------------
@@ -949,12 +965,12 @@ class Study:
         each pass stores its fresh values before the next starts.
 
         The test-cost pass is serial (ATPG is memoised per process).
-        The simulations fan out over a fault-isolated pool under the
-        sweep's rule (:func:`_pool_size`: more points to simulate than
-        workers); :meth:`_pooled_simulations` then applies the results
-        in front order, with the serial path's energies, reports,
-        events, counters and stores.  Returns the post-pass cache hits
-        and the calibration reports.
+        The simulations go through the evaluator's one fan-out
+        (:meth:`CachedEvaluator._fresh`, under ``fail_fast`` with no
+        cancel token), on a pool under the sweep's rule
+        (:func:`_pool_size`: more points to simulate than workers);
+        one loop applies their outcomes in front order.  Returns the
+        post-pass cache hits and the calibration reports.
         """
         if (evaluator.march is None and evaluator.energy_model is None
                 and not self.calibrate_front):
@@ -980,102 +996,29 @@ class Study:
         if evaluator.energy_model is not None:
             todo = [p for p in front if p.energy is None]
             hits += len(front) - len(todo)
-        simulated = (
-            front if self.calibrate_front
-            else [p for p in todo if p.feasible]
-        )
-        workers = _pool_size(len(simulated), self.workers)
-        if workers > 1:
-            reports = self._pooled_simulations(
-                simulated, evaluator, tech, workers
+        calibrate = self.calibrate_front
+        simulated = front if calibrate else [p for p in todo if p.feasible]
+        reports = []
+        for index, outcome in evaluator._fresh(
+            partial(simulate_point, tech=tech, calibrate=calibrate),
+            simulated,
+            _pool_size(len(simulated), self.workers),
+        ):
+            point = simulated[index]
+            if not calibrate:
+                # A pool worker set the energy on its own copy.
+                point.energy = outcome
+                continue
+            reports.append(outcome)
+            self.tracer.event(
+                "calibration", run=evaluator.label, **outcome.to_dict()
             )
-        else:
-            reports = self._serial_simulations(front, todo, evaluator, tech)
+            if evaluator.energy_model is not None and point.energy is None:
+                evaluator.metrics.count("energy_simulated")
+                point.energy = round(outcome.energy, 3)
         for point in todo:
             evaluator._store(point)
         return hits, reports
-
-    def _trace_calibration(self, evaluator: CachedEvaluator, report) -> None:
-        self.tracer.event(
-            "calibration", run=evaluator.label, **report.to_dict()
-        )
-
-    def _serial_simulations(
-        self,
-        front: list[EvaluatedPoint],
-        todo: list[EvaluatedPoint],
-        evaluator: CachedEvaluator,
-        tech,
-    ) -> list:
-        """Calibrate the front, then simulate the ``todo`` points still
-        without an energy, in process; returns the reports."""
-        reports = []
-        if self.calibrate_front:
-            # Imported here: calibration is opt-in, and the rtl package
-            # pulls the whole elaboration stack with it.
-            from repro.rtl.calibrate import calibrate_point
-
-            for point in front:
-                report = calibrate_point(
-                    point, evaluator.workload, width=self.spec.width,
-                    tech=tech, context=evaluator.context,
-                    metrics=evaluator.metrics,
-                )
-                reports.append(report)
-                self._trace_calibration(evaluator, report)
-
-        if evaluator.energy_model is not None:
-            for point, report in zip(front, reports):
-                if point.energy is None:
-                    evaluator.metrics.count("energy_simulated")
-                    point.energy = round(report.energy, 3)
-            rest = [p for p in todo if p.energy is None]
-            if rest:
-                attach_energy(
-                    rest, evaluator.workload, width=self.spec.width,
-                    tech=tech, context=evaluator.context,
-                    metrics=evaluator.metrics,
-                )
-        return reports
-
-    def _pooled_simulations(
-        self,
-        points: list[EvaluatedPoint],
-        evaluator: CachedEvaluator,
-        tech,
-        workers: int,
-    ) -> list:
-        """Simulate ``points`` on a pool; returns the reports.
-
-        Each worker pins the run's context (the sweep's initializer),
-        and :func:`simulate_point_worker` simulates one point per task.
-        The ``(index, outcome)`` stream arrives in submission order, so
-        events, energies and merged snapshots follow front order as on
-        the serial path.  No fault policy or cancel token: a failure
-        raises its own exception, as the serial path does.
-        """
-        calibrate = self.calibrate_front
-        reports = []
-        stream = iter_pool_isolated(
-            points,
-            partial(simulate_point_worker, tech=tech, calibrate=calibrate),
-            init_evaluation_worker,
-            (evaluator.workload, evaluator.profile, evaluator.width),
-            workers,
-        )
-        with closing(stream):
-            for index, (outcome, snapshot) in stream:
-                evaluator.metrics.merge(snapshot)
-                point = points[index]
-                breakdown = outcome
-                if calibrate:
-                    reports.append(outcome)
-                    self._trace_calibration(evaluator, outcome)
-                    breakdown = outcome.breakdown
-                if evaluator.energy_model is not None and point.energy is None:
-                    evaluator.metrics.count("energy_simulated")
-                    point.energy = round(breakdown.total, 3)
-        return reports
 
 
 def run_study(spec: StudySpec, **kw) -> StudyResult:

@@ -85,10 +85,6 @@ class TestCostBreakdown:
         """``f_t``: sum over counted FUs, RFs and their sockets."""
         return sum(u.total for u in self.units if u.counted)
 
-    @property
-    def total_all_units(self) -> int:
-        return sum(u.total for u in self.units)
-
     def unit(self, name: str) -> UnitTestCost:
         for u in self.units:
             if u.unit_name == name:

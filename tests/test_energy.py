@@ -390,33 +390,52 @@ def test_energy_study_counts_simulated_cycles(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workload,calibrate", [("gcd", False), ("checksum", True)]
+    "workload,calibrate,energy,primed",
+    [
+        pytest.param("gcd", False, True, False, id="gcd-False"),
+        pytest.param("checksum", True, True, False, id="checksum-True"),
+        pytest.param(
+            "checksum", True, False, False,
+            id="checksum-True-calibration-only",
+        ),
+        pytest.param(
+            "gcd", True, True, True, id="gcd-True-energies-restored"
+        ),
+    ],
 )
 def test_pooled_post_pass_matches_serial(
-    workload, calibrate, tmp_path, monkeypatch
+    workload, calibrate, energy, primed, tmp_path, monkeypatch
 ):
     """At workers=2 the front's simulations (energy, or calibration
     when ``calibrate_front`` is set) fan out over the pool; points,
     front, selection, calibration reports, cache bytes, counters and
-    histogram sample counts equal the serial run's."""
+    histogram sample counts equal the serial run's.  The cases cover an
+    energy study, a calibrated one, calibration without an energy axis,
+    and a calibrated rerun whose energies all come from the cache."""
     from repro.study import Study, engine
 
     pooled = []
     real = engine.iter_pool_isolated
 
     def spy(items, fn, *args, **kwargs):
-        if getattr(fn, "func", None) is engine.simulate_point_worker:
+        task = fn.args[0]               # fn is run_worker_task bound to it
+        if getattr(task, "func", None) is engine.simulate_point:
             pooled.append(len(items))
         return real(items, fn, *args, **kwargs)
 
     monkeypatch.setattr(engine, "iter_pool_isolated", spy)
     spec = StudySpec(
         name="pooled-post-pass", workloads=(workload,), space="small",
-        objectives=("cycles", "area", "energy"), select=True,
+        objectives=("cycles", "area") + (("energy",) if energy else ()),
+        select=True,
     )
     records = []
     for workers in (1, 2):
         root = tmp_path / f"workers{workers}"
+        if primed:
+            # Fills the cache with the front's energies, serially, so
+            # the run below simulates for calibration only.
+            Study(spec, cache=ResultCache(root)).run()
         run = Study(
             spec, cache=ResultCache(root), workers=workers,
             collect_metrics=True, calibrate_front=calibrate,
@@ -443,8 +462,11 @@ def test_pooled_post_pass_matches_serial(
     base = pareto_front(run.result.points, ("cycles", "area"))
     assert len(base) > 2
     assert pooled == [len(base)], "only the workers=2 run pools its front"
-    assert all(p.energy is not None for p in base)
+    assert all((p.energy is not None) == energy for p in base)
     assert len(run.calibrations) == (len(base) if calibrate else 0)
+    simulated = len(base) if energy and not primed else 0
+    assert run.stats.counters.get("energy_simulated", 0) == simulated
+    assert run.stats.post_pass_hits == (len(base) if primed else 0)
     serial, parallel = records
     for key in serial:
         assert parallel[key] == serial[key], key

@@ -5,8 +5,8 @@ quadratic oracle on adversarial point sets, memoized register
 allocation produces byte-identical schedules, the per-type netlist
 statistics behind ``Architecture.area()`` match a from-scratch
 recomputation, the feasibility pre-check agrees exactly with the
-compiler, and the worker entry points evaluate through the same context
-as the serial loop.
+compiler, and the pool's worker entry evaluates through the same
+context as the serial loop.
 """
 
 import pytest
@@ -25,12 +25,12 @@ from repro.explore import (
     RFConfig,
     build_architecture,
     build_architecture_cached,
-    evaluate_config_worker,
     init_evaluation_worker,
     pareto_filter,
     required_fu_opcodes,
     small_space,
 )
+from repro.explore.evaluate import run_worker_task
 from repro.explore.space import dsp_space, space_by_name
 from repro.netlist.stats import netlist_stats
 from repro.tta.arch import BUS_AREA_PER_BIT, CONNECTION_AREA
@@ -214,7 +214,7 @@ def test_worker_entry_points_share_context_semantics():
     init_evaluation_worker(workload, profile, 16)
     context = EvaluationContext(workload, profile, 16)
     for config in small_space()[:4]:
-        a, snapshot = evaluate_config_worker(config)
+        a, snapshot = run_worker_task(EvaluationContext.evaluate, config)
         b = context.evaluate(config)
         assert (a.label, a.area, a.cycles) == (b.label, b.area, b.cycles)
         # each call ships its own per-configuration telemetry delta

@@ -783,6 +783,31 @@ def test_legacy_shims_removed():
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     policy_fields = {f.name for f in dataclasses.fields(FaultPolicy)}
     assert not policy_fields & {"backoff", "backoff_factor"}
+
+    # One fan-out for every per-point task: sweep evaluations and the
+    # post-pass simulations share CachedEvaluator._fresh and one pool
+    # worker entry, so the serial/pooled post-pass twins and the
+    # per-task worker functions are gone, as are four dead definitions.
+    from repro.components.register_file import MultiPortMemory
+    from repro.compiler.ir import IRBuilder
+    from repro.resilience import faults as faults_module
+    from repro.testcost.cost import TestCostBreakdown
+
+    for module, name in (
+        (engine_module.Study, "_serial_simulations"),
+        (engine_module.Study, "_pooled_simulations"),
+        (engine_module.Study, "_trace_calibration"),
+        (engine_module, "simulate_point_worker"),
+        (evaluate_module, "evaluate_config_worker"),
+        (evaluate_module, "worker_context"),
+        (repro.explore, "evaluate_config_worker"),
+        (TestCostBreakdown, "total_all_units"),
+        (IRBuilder, "switch_to"),
+        (MultiPortMemory, "poke"),
+        (faults_module, "reload_env"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "evaluate_config_worker" not in repro.explore.__all__
     sim_params = inspect.signature(TTASimulator).parameters
     assert not set(sim_params) & {"trace", "dmem_words"}
     for argv in (
