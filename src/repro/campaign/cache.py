@@ -30,9 +30,17 @@ Robustness posture (PR 7):
 * a corrupt or truncated entry is **quarantined** — moved to
   ``<dir>/quarantine/`` — so re-evaluation replaces it and the torn
   bytes stay available for diagnosis instead of being re-read forever;
-* :meth:`ResultCache.put` holds a per-key ``flock`` around its
-  read-merge-write-replace, so two processes attaching different
-  post-pass axes to the same entry cannot drop each other's writes;
+* a :meth:`ResultCache.put` that carries a post-pass axis holds a
+  per-key ``flock`` around its read-merge-write-replace, so two
+  processes attaching different axes to the same entry cannot drop
+  each other's writes.  A put with neither axis (every fresh sweep
+  point) merges nothing and writes without the lock: the base fields
+  of one key are identical by construction, so a racer loses nothing
+  to it;
+* every write goes through a temp file named per process *and* thread
+  (service jobs share one cache across threads) and a rename; a write
+  or rename that fails removes its temp file, which no entry walk
+  would ever find;
 * :meth:`ResultCache.verify` sweeps every shard for the ``repro cache
   verify|repair`` CLI.
 
@@ -45,6 +53,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -209,6 +219,28 @@ def decode_entry(
     )
 
 
+def _replace_atomically(path: str, payload: str) -> None:
+    """Write ``payload`` to ``path`` through a temp file and a rename.
+
+    Readers never see a torn file.  The temp name is unique per writer
+    (process and thread) and never matches ``*.json``; when the write
+    or the rename raises, the temp file is removed before the error
+    propagates.
+    """
+    stem = path[: -len(".json")] if path.endswith(".json") else path
+    tmp = f"{stem}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(payload.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Sharded directory of evaluated points, one JSON file per key.
 
@@ -245,6 +277,7 @@ class ResultCache:
                 "omit it for an unbounded cache"
             )
         self.max_bytes = max_bytes
+        self._shards = os.path.join(self.directory, "shards")
         #: Always-on lifetime counters (reading them costs nothing on
         #: the hot path; a handful of integer adds per get/put).
         self.stats = CacheStats()
@@ -258,12 +291,13 @@ class ResultCache:
     # ------------------------------------------------------------------
     # layout
     # ------------------------------------------------------------------
-    def _shard_dir(self, key: str) -> Path:
-        return self.directory / "shards" / key[:SHARD_WIDTH]
+    def _entry_file(self, key: str) -> str:
+        """The sharded home of one key (where every write lands)."""
+        return os.path.join(self._shards, key[:SHARD_WIDTH], f"{key}.json")
 
     def _path(self, key: str) -> Path:
-        """The sharded home of one key (where every write lands)."""
-        return self._shard_dir(key) / f"{key}.json"
+        """:meth:`_entry_file` as a :class:`Path` (for fault injection)."""
+        return Path(self._entry_file(key))
 
     def _entry_paths(self) -> Iterator[Path]:
         """Every entry file, shard by shard."""
@@ -309,16 +343,17 @@ class ResultCache:
         A well-formed entry from an older schema is a plain miss (stale
         is not corrupt).
         """
-        path = self._path(cache_key(workload, config, width))
+        path = self._entry_file(cache_key(workload, config, width))
         try:
-            text = path.read_text()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            point = decode_entry(json.loads(text), march, energy_model)
+            point = decode_entry(json.loads(raw), march, energy_model)
         except _CORRUPT_ERRORS:
-            self._quarantine(path)
+            self._quarantine(Path(path))
             self.stats.misses += 1
             return None
         if point is None:
@@ -348,32 +383,49 @@ class ResultCache:
         key differs) and must not wipe another study's persisted ATPG
         result when it writes its energies back — and vice versa.
 
-        The whole read-merge-write-replace runs under a per-key
-        ``flock`` (a sibling ``<key>.lock`` file in the key's shard —
-        the entry itself cannot carry the lock because ``os.replace``
-        swaps its inode), so two processes attaching different axes to
-        the same entry serialise instead of dropping each other's
-        writes.  Keys hash uniformly, so concurrent writers contend on
-        a shard's directory inode 1/256th as often as on a flat layout.
+        A put that carries a post-pass axis runs its whole
+        read-merge-write-replace under a per-key ``flock`` (a sibling
+        ``<key>.lock`` file in the key's shard — the entry itself cannot
+        carry the lock because ``os.replace`` swaps its inode), so two
+        processes attaching different axes to the same entry serialise
+        instead of dropping each other's writes.  Keys hash uniformly,
+        so concurrent writers contend on a shard's directory inode
+        1/256th as often as on a flat layout.
+
+        A put with neither axis — every freshly evaluated sweep point —
+        takes no lock and opens no ``.lock`` file.  It reads nothing to
+        merge, and every writer of a key writes the same base fields
+        (area, cycles, code size are a function of the key), so
+        whichever rename lands last, no racer's work is lost that the
+        lock would have kept: serialised, the axis-free write could
+        land last just the same.
         """
         key = cache_key(workload, point.config, width)
-        self._shard_dir(key).mkdir(parents=True, exist_ok=True)
-        if fcntl is None:
-            self._put_locked(key, workload, point, width, march, energy_model)
+        if fcntl is None or (point.test_cost is None and point.energy is None):
+            self._write(key, workload, point, width, march, energy_model)
         else:
-            lock_path = self._shard_dir(key) / f"{key}.lock"
-            with open(lock_path, "w") as lock_file:
-                fcntl.flock(lock_file, fcntl.LOCK_EX)
-                try:
-                    self._put_locked(
-                        key, workload, point, width, march, energy_model
-                    )
-                finally:
-                    fcntl.flock(lock_file, fcntl.LOCK_UN)
+            with self._key_lock(key):
+                self._write(key, workload, point, width, march, energy_model)
         if self.max_bytes is not None and self._disk_bytes > self.max_bytes:
             self.compact()
 
-    def _put_locked(
+    @contextmanager
+    def _key_lock(self, key: str):
+        """Hold the per-key ``flock``, creating the shard on first use."""
+        lock_path = os.path.join(self._shards, key[:SHARD_WIDTH], f"{key}.lock")
+        try:
+            lock_file = open(lock_path, "w")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(lock_path), exist_ok=True)
+            lock_file = open(lock_path, "w")
+        with lock_file:
+            fcntl.flock(lock_file, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(lock_file, fcntl.LOCK_UN)
+
+    def _write(
         self,
         key: str,
         workload: str,
@@ -382,7 +434,7 @@ class ResultCache:
         march: str | None,
         energy_model: str | None,
     ) -> None:
-        path = self._path(key)
+        path = self._entry_file(key)
         data = encode_entry(workload, point, width, march, energy_model)
         # Merge only when the caller computed exactly one post-pass axis
         # (a test-cost or energy attachment rewriting an existing entry);
@@ -392,7 +444,8 @@ class ResultCache:
         if (point.test_cost is None) != (point.energy is None):
             self.stats.merge_reads += 1
             try:
-                old = json.loads(path.read_text())
+                with open(path, "rb") as handle:
+                    old = json.loads(handle.read())
                 if old.get("schema") == _SCHEMA:
                     if point.test_cost is None and old.get(
                         "test_cost"
@@ -408,15 +461,23 @@ class ResultCache:
                         self.stats.merged_axes += 1
             except (OSError, ValueError, AttributeError):
                 pass
-        try:
-            replaced = path.stat().st_size
-        except OSError:
-            replaced = 0
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         payload = json.dumps(data, sort_keys=True)
-        tmp.write_text(payload)
-        os.replace(tmp, path)
-        self._disk_bytes += len(payload) - replaced
+        # Only the LRU budget reads the running byte total, so only a
+        # budgeted cache pays for the stat of the entry being replaced.
+        if self.max_bytes is not None:
+            try:
+                replaced = os.stat(path).st_size
+            except OSError:
+                replaced = 0
+        try:
+            _replace_atomically(path, payload)
+        except FileNotFoundError:
+            # The key's shard does not exist yet: the first write into
+            # it creates it (one failed open instead of a mkdir per put).
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _replace_atomically(path, payload)
+        if self.max_bytes is not None:
+            self._disk_bytes += len(payload) - replaced
         self.stats.puts += 1
         self.stats.bytes_written += len(payload)
 
@@ -556,9 +617,9 @@ class ResultCache:
             merged = self.persisted_stats()
             for key, value in delta.items():
                 merged[key] = merged.get(key, 0) + value
-            tmp = stats_path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(merged, sort_keys=True))
-            os.replace(tmp, stats_path)
+            _replace_atomically(
+                str(stats_path), json.dumps(merged, sort_keys=True)
+            )
         finally:
             if lock_file is not None:
                 fcntl.flock(lock_file, fcntl.LOCK_UN)

@@ -17,7 +17,11 @@ paper's transport timing relations:
 Scheduling is per basic block with progressive resource reservation;
 blocks are concatenated, jump targets patched, and the final program is
 checked by :func:`repro.tta.timing.validate_program` — a scheduler bug
-fails loudly, never silently.
+fails loudly, never silently.  What the blocks need to know about the
+architecture (each unit's operand, trigger and result ports and its
+latency, one shared :class:`PortRef` per port, each literal's slot
+count) and which compares fuse into the branch guard are resolved once
+per call, not per operation.
 """
 
 from __future__ import annotations
@@ -34,17 +38,16 @@ from repro.compiler.ir import (
     Op,
 )
 from repro.compiler.regalloc import RegisterAllocation, allocate
-from repro.components.spec import ComponentKind
-from repro.tta.arch import Architecture
+from repro.tta.arch import Architecture, UnitInstance
 from repro.tta.isa import (
     GUARD_UNIT,
-    SHORT_IMM_BITS,
     Guard,
     Instruction,
     Literal,
     Move,
     PortRef,
     Program,
+    fits_short_immediate,
 )
 from repro.tta.simulator import BRANCH_DELAY_SLOTS
 from repro.tta.timing import validate_program
@@ -56,9 +59,6 @@ _JUMP_PLACEHOLDER = -1
 _JUMP_SLOTS = 2
 
 _SEARCH_LIMIT = 100_000
-
-#: Literals outside [-limit, limit) need a long-immediate extension slot.
-_SHORT_IMM_LIMIT = 1 << (SHORT_IMM_BITS - 1)
 
 
 class ScheduleError(Exception):
@@ -91,23 +91,130 @@ class _FUTrack:
     last_mem_trigger: int = -1   # LSU program order
 
 
+@dataclass(frozen=True, slots=True)
+class _OpUnit:
+    """Where one unit takes an operation's operands and gives its result.
+
+    An FU takes operand ``a`` on its non-trigger input (if it has one)
+    and operand ``b`` with the opcode on its trigger; the LSU takes a
+    store's data on ``wdata`` and the address on the ``addr`` trigger,
+    and a load's word comes back on ``rdata``.
+    """
+
+    name: str
+    operand: PortRef | None
+    trigger: PortRef
+    result: PortRef
+    latency: int
+
+
+class _PortRecords:
+    """What one :func:`schedule_allocated` call resolves for all its blocks.
+
+    A unit's operand, trigger and result ports and its latency, and
+    each vreg's register with its file's read and write ports, are
+    resolved the first time a block needs them instead of once per
+    operation or move, so each (unit, port) the program names gets one
+    shared :class:`PortRef` (moves compare ports by value, so sharing
+    changes no program; moves themselves are never shared --
+    :meth:`Instruction.bus_of` finds a move by identity).  Each literal
+    gets one shared :class:`Literal` and its slot count.  The records live for one call; kept on
+    the architecture, they would live as long as the sweep's
+    architecture cache keeps it.
+    """
+
+    def __init__(self, arch: Architecture, allocation: RegisterAllocation) -> None:
+        self.arch = arch
+        self.num_buses = arch.num_buses
+        self.guard0 = PortRef(GUARD_UNIT, "g0")
+        self._allocation = allocation
+        self._units: dict[str, _OpUnit] = {}
+        self._rf_ports: dict[tuple[str, bool], tuple[tuple[str, PortRef], ...]] = {}
+        self._homes: dict[str, tuple] = {}
+        self._literals: dict[int, tuple[Literal, int]] = {}
+        self._lsu: _OpUnit | None = None
+        self.pc_target = PortRef(arch.pc_unit.name, "target")
+
+    def literal(self, value: int) -> tuple[Literal, int]:
+        """The shared literal and the bus slots its move takes."""
+        entry = self._literals.get(value)
+        if entry is None:
+            slots = 1 if fits_short_immediate(value) else 2
+            entry = self._literals[value] = (Literal(value), slots)
+        return entry
+
+    def fu(self, unit: UnitInstance) -> _OpUnit:
+        record = self._units.get(unit.name)
+        if record is None:
+            spec = unit.spec
+            operand = next(
+                (p.name for p in spec.input_ports if not p.is_trigger), None
+            )
+            record = self._units[unit.name] = _OpUnit(
+                unit.name,
+                None if operand is None else PortRef(unit.name, operand),
+                PortRef(unit.name, spec.trigger_port.name),
+                PortRef(unit.name, spec.output_ports[0].name),
+                spec.latency,
+            )
+        return record
+
+    @property
+    def lsu(self) -> _OpUnit:
+        record = self._lsu
+        if record is None:
+            unit = self.arch.lsu
+            if unit is None:
+                raise ScheduleError("architecture has no load/store unit")
+            name = unit.name
+            record = self._lsu = _OpUnit(
+                name,
+                PortRef(name, "wdata"),
+                PortRef(name, "addr"),
+                PortRef(name, "rdata"),
+                unit.spec.latency,
+            )
+        return record
+
+    def rf_ports(self, rf_unit: str, output: bool) -> tuple[tuple[str, PortRef], ...]:
+        """A register file's read (``output``) or write ports, in order."""
+        key = (rf_unit, output)
+        ports = self._rf_ports.get(key)
+        if ports is None:
+            spec = self.arch.unit(rf_unit).spec
+            specs = spec.output_ports if output else spec.input_ports
+            ports = self._rf_ports[key] = tuple(
+                (p.name, PortRef(rf_unit, p.name)) for p in specs
+            )
+        return ports
+
+    def home(self, vreg: str) -> tuple:
+        """``(slot, reads, writes)`` of a vreg: its ``(rf unit, index)``
+        and that register file's read and write ports."""
+        home = self._homes.get(vreg)
+        if home is None:
+            slot = self._allocation.home(vreg)
+            home = self._homes[vreg] = (
+                slot,
+                self.rf_ports(slot[0], True),
+                self.rf_ports(slot[0], False),
+            )
+        return home
+
+
 class _BlockScheduler:
     """Greedy per-block transport scheduler with immediate reservation."""
 
-    def __init__(self, arch: Architecture, allocation: RegisterAllocation):
-        self.arch = arch
-        self.num_buses = arch.num_buses
-        self.allocation = allocation
+    def __init__(self, ports: _PortRecords):
+        self.ports = ports
+        self.num_buses = ports.num_buses
+        self.home = ports.home
         self.placed: list[tuple[int, Move]] = []
         # Per-cycle bus occupancy, indexed by cycle (grown on demand):
         # the schedule search probes slot availability cycle by cycle,
         # and a flat list beats hashing every probe.
         self.bus_load: list[int] = []
         self.port_busy: set[tuple[int, str, str]] = set()
-        # Per-RF-unit port name tuples (the spec views are cached, but
-        # the (unit -> names) resolution is per-architecture).
-        self._rf_read_ports: dict[str, tuple[str, ...]] = {}
-        self._rf_write_ports: dict[str, tuple[str, ...]] = {}
         self.avail: dict[str, int] = {}     # vreg -> first readable cycle
         self.fu: dict[str, _FUTrack] = {}
         self.guard_ready = 0
@@ -121,22 +228,6 @@ class _BlockScheduler:
         self.slot_writes: dict[tuple[str, int], int] = {}
 
     # -- resource primitives -----------------------------------------------
-    @staticmethod
-    def _imm_slots(src) -> int:
-        if isinstance(src, Literal):
-            return 1 if -_SHORT_IMM_LIMIT <= src.value < _SHORT_IMM_LIMIT else 2
-        return 1
-
-    def _load_at(self, cycle: int) -> int:
-        load = self.bus_load
-        return load[cycle] if cycle < len(load) else 0
-
-    def _add_load(self, cycle: int, amount: int) -> None:
-        load = self.bus_load
-        if cycle >= len(load):
-            load.extend([0] * (cycle + 1 - len(load)))
-        load[cycle] += amount
-
     def _bus_free(self, cycle: int, want: int) -> bool:
         """Slot availability, with the 1-bus long-immediate convention.
 
@@ -144,48 +235,41 @@ class _BlockScheduler:
         that extension word rides in the *next* instruction, which must
         stay completely empty (variable-length immediate fetch).
         """
+        load = self.bus_load
         nb = self.num_buses
+        used = load[cycle] if cycle < len(load) else 0
         if want <= nb:
-            return self._load_at(cycle) + want <= nb
+            return used + want <= nb
         if nb == 1 and want == 2:
-            return self._load_at(cycle) == 0 and self._load_at(cycle + 1) == 0
+            return used == 0 and (
+                cycle + 1 >= len(load) or load[cycle + 1] == 0
+            )
         return False
 
-    def _port_free(self, cycle: int, unit: str, port: str) -> bool:
-        return (cycle, unit, port) not in self.port_busy
-
-    def _place(
-        self,
-        cycle: int,
-        move: Move,
-        ports: list[tuple[str, str]],
-        slots: int | None = None,
-    ) -> None:
-        want = slots if slots is not None else self._imm_slots(move.src)
+    def _occupy(self, cycle: int, want: int) -> None:
+        load = self.bus_load
         nb = self.num_buses
+        last = cycle + 1 if want > nb else cycle
+        if last >= len(load):
+            load.extend([0] * (last + 1 - len(load)))
         if want > nb:
             # 1-bus long immediate: block the extension instruction.
-            self._add_load(cycle, 1)
-            self._add_load(cycle + 1, nb - self._load_at(cycle + 1))
-            self.top = max(self.top, cycle + 2)
+            load[cycle] += 1
+            load[cycle + 1] = nb
         else:
-            self._add_load(cycle, want)
-            self.top = max(self.top, cycle + 1)
-        for unit, port in ports:
-            self.port_busy.add((cycle, unit, port))
-        self.placed.append((cycle, move))
+            load[cycle] += want
+        if last >= self.top:
+            self.top = last + 1
 
-    def _pick_rf_port(self, cycle: int, rf_unit: str, output: bool) -> str | None:
-        cache = self._rf_read_ports if output else self._rf_write_ports
-        names = cache.get(rf_unit)
-        if names is None:
-            spec = self.arch.unit(rf_unit).spec
-            ports = spec.output_ports if output else spec.input_ports
-            names = cache[rf_unit] = tuple(p.name for p in ports)
-        busy = self.port_busy
-        for name in names:
-            if (cycle, rf_unit, name) not in busy:
-                return name
+    def _free_port(
+        self, cycle: int, rf_unit: str, ports: tuple[tuple[str, PortRef], ...]
+    ) -> tuple[str, PortRef] | None:
+        """The first of a register file's ``ports`` not reserved at
+        ``cycle``, or None."""
+        port_busy = self.port_busy
+        for entry in ports:
+            if (cycle, rf_unit, entry[0]) not in port_busy:
+                return entry
         return None
 
     # -- generic "deliver a value to an input port" -------------------------
@@ -195,61 +279,48 @@ class _BlockScheduler:
         dst: PortRef,
         earliest: int,
         opcode: str | None = None,
-        dst_reg: int | None = None,
         reserve_dst_port: bool = True,
     ) -> int:
         """Place a move carrying ``operand`` into ``dst`` at the earliest
         feasible cycle >= ``earliest``; returns that cycle."""
-        literal = isinstance(operand, int)
-        ready = 0 if literal else self.avail.get(operand, 0)
-        cycle = max(earliest, ready, 0)
-        if literal:
-            lit_src = Literal(operand)
-            lit_slots = self._imm_slots(lit_src)
+        if isinstance(operand, int):
+            literal, want = self.ports.literal(operand)
+            cycle = max(earliest, 0)
+            reads = None
         else:
-            rf_unit, index = self.allocation.home(operand)
+            want = 1
+            cycle = max(earliest, self.avail.get(operand, 0), 0)
+            slot, reads, _ = self.home(operand)
+            rf_unit, index = slot
         port_busy = self.port_busy
-        bus_load = self.bus_load
-        nb = self.num_buses
         dst_unit, dst_port = dst.unit, dst.port
         for _ in range(_SEARCH_LIMIT):
-            ports: list[tuple[str, str]] = []
-            if reserve_dst_port and (cycle, dst_unit, dst_port) in port_busy:
+            if (
+                reserve_dst_port and (cycle, dst_unit, dst_port) in port_busy
+            ) or not self._bus_free(cycle, want):
                 cycle += 1
                 continue
-            if literal:
-                src: Literal | PortRef = lit_src
-                src_reg = None
-                if not self._bus_free(cycle, lit_slots):
-                    cycle += 1
-                    continue
+            if reads is None:
+                move = Move(literal, dst, opcode=opcode)
             else:
-                if (bus_load[cycle] if cycle < len(bus_load) else 0) >= nb:
+                read = self._free_port(cycle, rf_unit, reads)
+                if read is None:
                     cycle += 1
                     continue
-                rport = self._pick_rf_port(cycle, rf_unit, output=True)
-                if rport is None:
-                    cycle += 1
-                    continue
-                src = PortRef(rf_unit, rport)
-                src_reg = index
-                ports.append((rf_unit, rport))
-            if reserve_dst_port:
-                ports.append((dst.unit, dst.port))
-            move = Move(src, dst, opcode=opcode, src_reg=src_reg, dst_reg=dst_reg)
-            self._place(cycle, move, ports)
-            if not literal:
-                slot = (rf_unit, index)
-                prior = self.slot_reads.get(slot, -1)
-                if cycle > prior:
+                port_busy.add((cycle, rf_unit, read[0]))
+                move = Move(read[1], dst, opcode=opcode, src_reg=index)
+                if cycle > self.slot_reads.get(slot, -1):
                     self.slot_reads[slot] = cycle
+            self._occupy(cycle, want)
+            if reserve_dst_port:
+                port_busy.add((cycle, dst_unit, dst_port))
+            self.placed.append((cycle, move))
             return cycle
         raise ScheduleError(f"cannot deliver {operand!r} to {dst}")
 
     def _drain_result(
         self,
-        unit_name: str,
-        result_port: str,
+        unit: _OpUnit,
         earliest: int,
         dst: str | None,
         to_guard: bool,
@@ -258,64 +329,56 @@ class _BlockScheduler:
         cycle = max(earliest, 0)
         if not to_guard:
             assert dst is not None
-            slot = self.allocation.home(dst)
+            slot, _, writes = self.home(dst)
             cycle = max(
                 cycle,
                 self.slot_reads.get(slot, -1),          # anti-dependence
                 self.slot_writes.get(slot, -1) + 1,     # output dependence
             )
+            rf_unit, index = slot
+        result = unit.result
+        res_unit, res_port = result.unit, result.port
         port_busy = self.port_busy
-        bus_load = self.bus_load
-        nb = self.num_buses
         for _ in range(_SEARCH_LIMIT):
-            if (bus_load[cycle] if cycle < len(bus_load) else 0) >= nb or (
-                cycle, unit_name, result_port
+            if not self._bus_free(cycle, 1) or (
+                cycle, res_unit, res_port
             ) in port_busy:
                 cycle += 1
                 continue
             if to_guard:
-                move = Move(
-                    PortRef(unit_name, result_port), PortRef(GUARD_UNIT, "g0")
-                )
-                self._place(cycle, move, [(unit_name, result_port)])
+                move = Move(result, self.ports.guard0)
                 self.guard_ready = cycle + 1
-                return cycle
-            rf_unit, index = slot
-            wport = self._pick_rf_port(cycle, rf_unit, output=False)
-            if wport is None:
-                cycle += 1
-                continue
-            move = Move(
-                PortRef(unit_name, result_port),
-                PortRef(rf_unit, wport),
-                dst_reg=index,
-            )
-            self._place(
-                cycle, move, [(unit_name, result_port), (rf_unit, wport)]
-            )
-            self.avail[dst] = cycle + 1
-            self.slot_writes[slot] = cycle
+            else:
+                write = self._free_port(cycle, rf_unit, writes)
+                if write is None:
+                    cycle += 1
+                    continue
+                port_busy.add((cycle, rf_unit, write[0]))
+                move = Move(result, write[1], dst_reg=index)
+                self.avail[dst] = cycle + 1
+                self.slot_writes[slot] = cycle
+            self._occupy(cycle, 1)
+            port_busy.add((cycle, res_unit, res_port))
+            self.placed.append((cycle, move))
             return cycle
-        raise ScheduleError(f"cannot drain result of {unit_name}")
+        raise ScheduleError(f"cannot drain result of {unit.name}")
 
     # -- op scheduling ----------------------------------------------------
     def schedule_op(self, op: Op, guard_dst: bool = False) -> None:
-        if op.opcode == "li":
+        opcode = op.opcode
+        if opcode == "li":
             self._schedule_copy(int(op.a), op.dst)
-            return
-        if op.opcode == "mov":
-            self._schedule_fu_op(Op("or", op.dst, op.a, 0), guard_dst)
-            return
-        if op.opcode in LOAD_OPCODES or op.opcode == "st":
+        elif opcode == "mov":
+            self._schedule_fu_op("or", op.dst, op.a, 0, guard_dst)
+        elif opcode in LOAD_OPCODES or opcode == "st":
             self._schedule_memory(op)
-            return
-        self._schedule_fu_op(op, guard_dst)
+        else:
+            self._schedule_fu_op(opcode, op.dst, op.a, op.b, guard_dst)
 
     def _schedule_copy(self, value: int, dst: str) -> None:
-        slot = self.allocation.home(dst)
+        slot, _, writes = self.home(dst)
         rf_unit, index = slot
-        src = Literal(value)
-        want = self._imm_slots(src)
+        lit, want = self.ports.literal(value)
         cycle = max(
             0,
             self.slot_reads.get(slot, -1),
@@ -323,10 +386,13 @@ class _BlockScheduler:
         )
         for _ in range(_SEARCH_LIMIT):
             if self._bus_free(cycle, want):
-                wport = self._pick_rf_port(cycle, rf_unit, output=False)
-                if wport is not None:
-                    move = Move(src, PortRef(rf_unit, wport), dst_reg=index)
-                    self._place(cycle, move, [(rf_unit, wport)])
+                write = self._free_port(cycle, rf_unit, writes)
+                if write is not None:
+                    self._occupy(cycle, want)
+                    self.port_busy.add((cycle, rf_unit, write[0]))
+                    self.placed.append(
+                        (cycle, Move(lit, write[1], dst_reg=index))
+                    )
                     self.avail[dst] = cycle + 1
                     self.slot_writes[slot] = cycle
                     return
@@ -339,67 +405,59 @@ class _BlockScheduler:
             track = self.fu[unit_name] = _FUTrack()
         return track
 
-    def _choose_fu(self, op: Op) -> "Unitlike":
-        candidates = self.arch.fu_for_op(op.opcode)
+    def _choose_fu(self, opcode: str) -> _OpUnit:
+        candidates = self.ports.arch.fu_for_op(opcode)
         if not candidates:
-            raise ScheduleError(f"no FU supports {op.opcode!r}")
+            raise ScheduleError(f"no FU supports {opcode!r}")
         if len(candidates) == 1:
-            return candidates[0]
+            return self.ports.fu(candidates[0])
 
         def pressure(unit) -> tuple[int, int]:
             track = self._track(unit.name)
             return (max(track.min_next_trigger, track.last_trigger + 1),
                     track.last_trigger)
 
-        return min(candidates, key=pressure)
+        return self.ports.fu(min(candidates, key=pressure))
 
-    def _schedule_fu_op(self, op: Op, guard_dst: bool) -> None:
-        unit = self._choose_fu(op)
-        spec = unit.spec
+    def _schedule_fu_op(
+        self,
+        opcode: str,
+        dst: str | None,
+        a: str | int | None,
+        b: str | int | None,
+        guard_dst: bool,
+    ) -> None:
+        unit = self._choose_fu(opcode)
         track = self._track(unit.name)
-        trigger_port = spec.trigger_port.name
-        operand_port = next(
-            (p.name for p in spec.input_ports if not p.is_trigger), None
-        )
-        result_port = spec.output_ports[0].name
 
         t_op = track.last_trigger  # so trigger lower bound is last_trigger+1
-        if operand_port is not None:
-            t_op = self._deliver(
-                op.a, PortRef(unit.name, operand_port),
-                earliest=track.last_trigger + 1,
-            )
+        if unit.operand is not None:
+            t_op = self._deliver(a, unit.operand, earliest=track.last_trigger + 1)
         t_trig = self._deliver(
-            op.b,
-            PortRef(unit.name, trigger_port),
+            b,
+            unit.trigger,
             earliest=max(t_op, track.min_next_trigger, track.last_trigger + 1),
-            opcode=op.opcode,
+            opcode=opcode,
         )
-        t_res = self._drain_result(
-            unit.name, result_port, t_trig + spec.latency, op.dst, guard_dst
-        )
+        t_res = self._drain_result(unit, t_trig + unit.latency, dst, guard_dst)
         track.last_trigger = t_trig
         track.min_next_trigger = max(
-            track.min_next_trigger, t_res - spec.latency + 1
+            track.min_next_trigger, t_res - unit.latency + 1
         )
 
     def _schedule_memory(self, op: Op) -> None:
-        unit = self.arch.lsu
-        if unit is None:
-            raise ScheduleError("architecture has no load/store unit")
-        spec = unit.spec
+        unit = self.ports.lsu
         track = self._track(unit.name)
         is_store = op.opcode == "st"
 
         t_op = track.last_trigger
         if is_store:
             t_op = self._deliver(
-                op.b, PortRef(unit.name, "wdata"),
-                earliest=track.last_trigger + 1,
+                op.b, unit.operand, earliest=track.last_trigger + 1
             )
         t_trig = self._deliver(
             op.a,
-            PortRef(unit.name, "addr"),
+            unit.trigger,
             earliest=max(
                 t_op,
                 track.min_next_trigger,
@@ -412,23 +470,23 @@ class _BlockScheduler:
         track.last_mem_trigger = t_trig
         if not is_store:
             t_res = self._drain_result(
-                unit.name, "rdata", t_trig + spec.latency, op.dst, False
+                unit, t_trig + unit.latency, op.dst, False
             )
             track.min_next_trigger = max(
-                track.min_next_trigger, t_res - spec.latency + 1
+                track.min_next_trigger, t_res - unit.latency + 1
             )
 
     # -- control flow ----------------------------------------------------
     def schedule_guard_load(self, cond: str) -> None:
         """Copy a boolean vreg from its RF home into guard register g0."""
         cycle = self._deliver(
-            cond, PortRef(GUARD_UNIT, "g0"), earliest=0, reserve_dst_port=False
+            cond, self.ports.guard0, earliest=0, reserve_dst_port=False
         )
         self.guard_ready = cycle + 1
 
     def schedule_jump(self, guarded: bool, invert: bool) -> int:
         """Place a jump move; target patched after layout."""
-        pc_name = self.arch.pc_unit.name
+        target = self.ports.pc_target
         earliest = max(
             self.guard_ready if guarded else 0,
             self.top - 1 - BRANCH_DELAY_SLOTS + 1,   # work finishes in slot
@@ -438,20 +496,21 @@ class _BlockScheduler:
             # A second jump must not sit in the first one's delay window.
             earliest = max(earliest, self.last_jump + BRANCH_DELAY_SLOTS + 1)
         cycle = earliest
+        pc_unit, pc_port = target.unit, target.port
         for _ in range(_SEARCH_LIMIT):
-            if self._bus_free(cycle, _JUMP_SLOTS) and self._port_free(
-                cycle, pc_name, "target"
+            if self._bus_free(cycle, _JUMP_SLOTS) and (
+                (cycle, pc_unit, pc_port) not in self.port_busy
             ):
                 guard = Guard(0, invert) if guarded else None
                 move = Move(
                     Literal(_JUMP_PLACEHOLDER),
-                    PortRef(pc_name, "target"),
+                    target,
                     opcode="jump",
                     guard=guard,
                 )
-                self._place(
-                    cycle, move, [(pc_name, "target")], slots=_JUMP_SLOTS
-                )
+                self._occupy(cycle, _JUMP_SLOTS)
+                self.port_busy.add((cycle, pc_unit, pc_port))
+                self.placed.append((cycle, move))
                 self.last_jump = cycle
                 return cycle
             cycle += 1
@@ -459,25 +518,20 @@ class _BlockScheduler:
 
     # -- finalisation ----------------------------------------------------
     def build_instructions(self, length: int, halt: bool) -> list[Instruction]:
-        instructions = [
-            Instruction(slots=[None] * self.arch.num_buses)
-            for _ in range(length)
-        ]
-        by_cycle: dict[int, list[Move]] = {}
+        """The block's instructions: each cycle's moves fill buses 0, 1,
+        ... in placement order."""
+        nb = self.num_buses
+        instructions = [Instruction([None] * nb) for _ in range(length)]
+        filled = [0] * length
         for cycle, move in self.placed:
-            by_cycle.setdefault(cycle, []).append(move)
-        for cycle, moves in by_cycle.items():
-            bus = 0
-            for move in moves:
-                while (
-                    bus < self.arch.num_buses
-                    and instructions[cycle].slots[bus] is not None
-                ):
-                    bus += 1
-                if bus >= self.arch.num_buses:
-                    raise ScheduleError(f"slot overflow at relative cycle {cycle}")
+            bus = filled[cycle]
+            if bus < nb:
                 instructions[cycle].slots[bus] = move
-                bus += 1
+            filled[cycle] = bus + 1
+        if length and max(filled) > nb:
+            # Name the overflowing cycle that was placed into first.
+            cycle = next(c for c, _ in self.placed if filled[c] > nb)
+            raise ScheduleError(f"slot overflow at relative cycle {cycle}")
         if halt and instructions:
             instructions[-1].halt = True
         return instructions
@@ -510,18 +564,24 @@ def schedule_allocated(
     an architecture with the *same register files* — the scheduler reads
     but never mutates them, so one allocation can be reused across every
     configuration sharing an RF arrangement (the exploration sweeps do
-    exactly this via ``EvaluationContext``).
+    exactly this via ``EvaluationContext``).  Port records and the
+    fusable compares are resolved once per call, for every block.
     """
-    block_instrs: dict[str, list[Instruction]] = {}
+    ports = _PortRecords(arch, allocation)
+    fused = _fusable_cmps(rewritten)
+    program = Program(name=rewritten.name, data=dict(rewritten.data))
+    instructions = program.instructions
     jump_fixups: list[tuple[str, int, str]] = []   # (block, rel cycle, target)
     block_cycles: dict[str, int] = {}
+    block_starts: dict[str, int] = {}
+    total_moves = 0
 
     names = list(rewritten.blocks)
     for position, name in enumerate(names):
         block = rewritten.blocks[name]
-        sched = _BlockScheduler(arch, allocation)
+        sched = _BlockScheduler(ports)
 
-        guard_op_index = _fusable_cmp(rewritten, block)
+        guard_op_index = fused.get(name)
         for index, op in enumerate(block.ops):
             sched.schedule_op(op, guard_dst=(index == guard_op_index))
 
@@ -560,21 +620,17 @@ def schedule_allocated(
         if jump_cycle is not None:
             length = max(length, jump_cycle + 1 + BRANCH_DELAY_SLOTS)
         length = max(length, 1)
-        block_instrs[name] = sched.build_instructions(length, halt)
+        block_instrs = sched.build_instructions(length, halt)
         block_cycles[name] = length
-
-    # Layout + jump patching.
-    program = Program(name=rewritten.name, data=dict(rewritten.data))
-    block_starts: dict[str, int] = {}
-    for name in names:
-        block_starts[name] = len(program.instructions)
-        for index, instruction in enumerate(block_instrs[name]):
-            if index == 0:
-                instruction.label = name
-            program.append(instruction)
+        # Layout: blocks follow each other in IR order; each placed move
+        # fills exactly one slot.
+        block_instrs[0].label = name
+        block_starts[name] = program.labels[name] = len(instructions)
+        instructions.extend(block_instrs)
+        total_moves += len(sched.placed)
 
     for name, rel_cycle, target in jump_fixups:
-        instruction = program.instructions[block_starts[name] + rel_cycle]
+        instruction = instructions[block_starts[name] + rel_cycle]
         for bus, move in enumerate(instruction.slots):
             if (
                 move is not None
@@ -592,7 +648,6 @@ def schedule_allocated(
         else:
             raise ScheduleError(f"jump fixup lost in block {name!r}")
 
-    total_moves = sum(len(i.moves) for i in program.instructions)
     result = CompileResult(
         program=program,
         allocation=allocation,
@@ -611,28 +666,37 @@ def schedule_allocated(
     return result
 
 
-def _fusable_cmp(fn: IRFunction, block) -> int | None:
-    """Index of a cmp op whose only consumer is this block's branch.
+def _fusable_cmps(fn: IRFunction) -> dict[str, int]:
+    """Per block name, the index of a cmp op whose only consumer is the
+    block's branch.
 
     When found, the cmp's result move targets guard register g0 directly,
     skipping the RF round trip — the scheduler's one classic TTA
-    optimisation (software bypassing of the condition).
+    optimisation (software bypassing of the condition).  A condition
+    qualifies when no op of the function reads it and no other block
+    branches on it; one scan of the function answers that for every
+    block.
     """
-    term = block.terminator
-    if not isinstance(term, Branch):
-        return None
-    cond = term.cond
-    def_index = None
-    for index, op in enumerate(block.ops):
-        if op.dst == cond:
-            def_index = index
-    if def_index is None or block.ops[def_index].opcode not in CMP_OPCODES:
-        return None
-    for other in fn.blocks.values():
-        for op in other.ops:
-            if cond in op.sources():
-                return None
-        if other is not block and isinstance(other.terminator, Branch):
-            if other.terminator.cond == cond:
-                return None
-    return def_index
+    read: set[str] = set()
+    branches_on: dict[str, int] = {}
+    for block in fn.blocks.values():
+        for op in block.ops:
+            read.update(op.sources())
+        term = block.terminator
+        if isinstance(term, Branch):
+            branches_on[term.cond] = branches_on.get(term.cond, 0) + 1
+    fused: dict[str, int] = {}
+    for name, block in fn.blocks.items():
+        term = block.terminator
+        if not isinstance(term, Branch):
+            continue
+        cond = term.cond
+        if cond in read or branches_on[cond] > 1:
+            continue
+        def_index = None
+        for index, op in enumerate(block.ops):
+            if op.dst == cond:
+                def_index = index
+        if def_index is not None and block.ops[def_index].opcode in CMP_OPCODES:
+            fused[name] = def_index
+    return fused

@@ -20,6 +20,18 @@ GUARD_UNIT = "guard"
 #: Short immediates ride inside the move's source field.
 SHORT_IMM_BITS = 8
 
+_SHORT_IMM_LIMIT = 1 << (SHORT_IMM_BITS - 1)
+
+
+def fits_short_immediate(value: int) -> bool:
+    """True when ``value`` fits the short source field (sign-extended).
+
+    The one statement of the rule: a literal outside it is a *long*
+    immediate, which takes a second bus slot (or, on a one-bus machine,
+    the next instruction) for its extension word.
+    """
+    return -_SHORT_IMM_LIMIT <= value < _SHORT_IMM_LIMIT
+
 
 @dataclass(frozen=True, slots=True)
 class PortRef:
@@ -74,10 +86,8 @@ class Move:
 
     def needs_long_immediate(self) -> bool:
         """True when the literal does not fit the short source field."""
-        if not isinstance(self.src, Literal):
-            return False
-        limit = 1 << (SHORT_IMM_BITS - 1)
-        return not -limit <= self.src.value < limit
+        src = self.src
+        return isinstance(src, Literal) and not fits_short_immediate(src.value)
 
     def __str__(self) -> str:
         parts = []

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.components.reference import ALU_OPS, CMP_OPS, MUL_OPS, SHIFTER_OPS
-from repro.components.spec import ComponentKind
+from repro.components.spec import ComponentKind, ComponentSpec
 from repro.tta.arch import Architecture
-from repro.tta.isa import GUARD_UNIT, Literal, Move, PortRef, Program
+from repro.tta.isa import GUARD_UNIT, Literal, Move, Program, fits_short_immediate
 
 #: Opcodes understood by the behavioural FU dispatch.
 KNOWN_FU_OPS = set(ALU_OPS) | set(CMP_OPS) | set(MUL_OPS) | set(SHIFTER_OPS)
@@ -43,6 +44,8 @@ class TimingViolation:
 
 class _FUTracker:
     """Per-FU operation bookkeeping for relations (3) and (4)."""
+
+    __slots__ = ("latency", "trigger_cycles", "results_read", "has_result")
 
     def __init__(self, latency: int):
         self.latency = latency
@@ -68,6 +71,56 @@ class _FUTracker:
         return i if i >= 0 else None
 
 
+class _PortRecord(NamedTuple):
+    """What a move end on one (unit, port) is checked against."""
+
+    is_input: bool
+    buses: frozenset[int]       # connected bus indices
+    regs: int | None            # register count of an RF port, else None
+    ops: set[str] | None        # opcodes a trigger accepts; None: no check
+    is_pc: bool                 # literal sources are jump targets
+    reads_result: bool          # an FU/LSU result port: eq. 3 applies
+    starts_op: bool             # an FU/LSU trigger: starts an operation
+    latency: int
+    spec: ComponentSpec         # for the rare opcode message
+
+
+def _port_records(arch: Architecture) -> dict[tuple[str, str], _PortRecord]:
+    """(unit, port) -> its :class:`_PortRecord`, from ``arch.port_table``.
+
+    Built once per :func:`validate_program` call, so the per-move pass
+    reads one record instead of asking the spec and port objects again
+    for every move.  The records live for one call; kept on the
+    architecture, they would live as long as the sweep's architecture
+    cache keeps it.
+    """
+    records = {}
+    for key, (spec, port, buses) in arch.port_table.items():
+        kind = spec.kind
+        timed = kind is ComponentKind.FU or kind is ComponentKind.LSU
+        is_input = port.is_input
+        ops = None
+        if port.is_trigger:
+            if kind is ComponentKind.FU:
+                ops = KNOWN_FU_OPS.intersection(spec.ops)
+            elif kind is ComponentKind.LSU:
+                ops = LSU_OPCODES
+            elif kind is ComponentKind.PC:
+                ops = PC_OPCODES
+        records[key] = _PortRecord(
+            is_input,
+            buses,
+            spec.num_regs if kind is ComponentKind.RF else None,
+            ops,
+            kind is ComponentKind.PC,
+            timed and not is_input,
+            timed and port.is_trigger,
+            spec.latency,
+            spec,
+        )
+    return records
+
+
 def validate_program(
     arch: Architecture,
     program: Program,
@@ -77,82 +130,152 @@ def validate_program(
 
     With ``strict`` set, results that are overwritten before ever being
     read are also reported (almost always a scheduler bug).
+
+    One pass over the moves: per instruction, the slot budget (one move
+    per bus, a long immediate taking two), then per move its guard,
+    destination and source (direction, connectivity, register index,
+    opcode, jump target) and the eq. 3 result timing, then the
+    instruction's port conflicts.  Findings come in that order.
     """
     violations: list[TimingViolation] = []
     trackers: dict[str, _FUTracker] = {}
-    port_table = arch.port_table
+    records = _port_records(arch)
     num_buses = arch.num_buses
+    num_guards = arch.num_guard_regs
+    has_imm_unit = arch.imm_unit is not None
+    instructions = program.instructions
+    length = len(instructions)
 
     def err(cycle: int, bus: int, message: str) -> None:
         violations.append(TimingViolation(cycle, bus, message))
 
-    # The per-cycle conflict maps are reused (cleared) across cycles —
-    # allocating three dicts per instruction dominated the validator.
-    rf_port_use: dict[tuple[str, str], int] = {}
-    dst_use: dict[tuple[str, str], int] = {}
-    src_use: dict[tuple[str, str], int] = {}
-
-    for cycle, instruction in enumerate(program.instructions):
+    for cycle, instruction in enumerate(instructions):
         slots = instruction.slots
         if len(slots) > num_buses:
             err(cycle, 0, f"{len(slots)} slots > {num_buses} buses")
+        head = len(violations)      # a slot-budget finding goes here
         num_moves = 0
         slots_used = 0
-        for m in slots:
-            if m is not None:
-                num_moves += 1
-                slots_used += 2 if m.needs_long_immediate() else 1
-        if slots_used > num_buses:
-            # 1-bus convention: one long-immediate move may spill its
-            # extension word into the next instruction if that is empty.
-            next_empty = (
-                cycle + 1 < len(program.instructions)
-                and not program.instructions[cycle + 1].moves
-            ) or cycle + 1 >= len(program.instructions)
-            one_long = num_buses == 1 and num_moves == 1 and slots_used == 2
-            if not (one_long and next_empty):
-                err(cycle, 0, "long immediates exceed available bus slots")
-
-        rf_port_use.clear()
-        dst_use.clear()
-        src_use.clear()
+        dst_keys: list[tuple[str, str]] = []
+        src_keys: list[tuple[str, str]] = []
+        rf_keys: list[tuple[str, str]] = []
 
         for bus, move in enumerate(slots):
             if move is None:
                 continue
+            num_moves += 1
             src = move.src
             dst = move.dst
-            src_info = (
-                port_table.get((src.unit, src.port))
-                if type(src) is PortRef
-                else None
-            )
-            dst_info = port_table.get((dst.unit, dst.port))
-            _check_move_structure(
-                arch, program, move, cycle, bus, err, src_info, dst_info
-            )
-            if type(src) is PortRef and src.unit != GUARD_UNIT:
-                key = (src.unit, src.port)
-                src_use[key] = src_use.get(key, 0) + 1
-                if src_info is not None and src_info[0].kind is ComponentKind.RF:
-                    rf_port_use[key] = rf_port_use.get(key, 0) + 1
+            literal = isinstance(src, Literal)
+            long_imm = literal and not fits_short_immediate(src.value)
+            slots_used += 2 if long_imm else 1
+            if move.guard is not None and not 0 <= move.guard.index < num_guards:
+                err(cycle, bus, f"guard g{move.guard.index} out of range")
+
+            # Destination.  An unknown one ends the move's structure
+            # checks; its port use and timing still count below.
+            dst_key = (dst.unit, dst.port)
+            dst_rec = records.get(dst_key)
+            check_source = True
+            if dst.unit == GUARD_UNIT:
+                index = _guard_index(dst.port)
+                if index is None or index >= num_guards:
+                    err(cycle, bus, f"bad guard destination {dst}")
+            elif dst_rec is None:
+                if dst.unit not in arch.units:
+                    err(cycle, bus, f"unknown unit {dst.unit!r}")
+                else:
+                    err(cycle, bus, f"unknown port {dst}")
+                check_source = False
+            else:
+                if not dst_rec.is_input:
+                    err(cycle, bus, f"{dst} is not an input port")
+                if bus not in dst_rec.buses:
+                    err(cycle, bus, f"{dst} not connected to bus {bus}")
+                regs = dst_rec.regs
+                if regs is not None and (
+                    move.dst_reg is None or not 0 <= move.dst_reg < regs
+                ):
+                    err(cycle, bus, f"bad register index on {dst}")
+                ops = dst_rec.ops
+                if ops is not None and move.opcode not in ops:
+                    err(cycle, bus, _opcode_finding(dst_rec.spec, move))
+                if dst_rec.is_pc and literal and not 0 <= src.value <= length:
+                    err(cycle, bus, f"jump target {src.value} outside program")
+
+            # Source.
+            if literal:
+                src_rec = None
+            else:
+                src_key = (src.unit, src.port)
+                src_rec = records.get(src_key)
+            if check_source:
+                if literal:
+                    if long_imm and not has_imm_unit:
+                        err(cycle, bus, "long immediate needs an immediate unit")
+                elif src.unit == GUARD_UNIT:
+                    index = _guard_index(src.port)
+                    if index is None or index >= num_guards:
+                        err(cycle, bus, f"bad guard source {src}")
+                elif src_rec is None:
+                    if src.unit not in arch.units:
+                        err(cycle, bus, f"unknown unit {src.unit!r}")
+                    else:
+                        err(cycle, bus, f"unknown port {src}")
+                else:
+                    if src_rec.is_input:
+                        err(cycle, bus, f"{src} is not an output port")
+                    if bus not in src_rec.buses:
+                        err(cycle, bus, f"{src} not connected to bus {bus}")
+                    regs = src_rec.regs
+                    if regs is not None and (
+                        move.src_reg is None or not 0 <= move.src_reg < regs
+                    ):
+                        err(cycle, bus, f"bad register index on {src}")
+
+            # Port use, counted for the conflict findings below.
+            if not literal and src.unit != GUARD_UNIT:
+                src_keys.append(src_key)
+                if src_rec is not None and src_rec.regs is not None:
+                    rf_keys.append(src_key)
             if dst.unit != GUARD_UNIT:
-                key = (dst.unit, dst.port)
-                dst_use[key] = dst_use.get(key, 0) + 1
-                if dst_info is not None and dst_info[0].kind is ComponentKind.RF:
-                    rf_port_use[key] = rf_port_use.get(key, 0) + 1
+                dst_keys.append(dst_key)
+                if dst_rec is not None and dst_rec.regs is not None:
+                    rf_keys.append(dst_key)
 
-            _check_fu_timing(move, cycle, bus, trackers, err, src_info, dst_info)
+            # Result reads: relation (3) -- not before trigger + latency.
+            if src_rec is not None and src_rec.reads_result:
+                tracker = trackers.get(src.unit)
+                landed = tracker.landed_index(cycle) if tracker else None
+                if landed is None:
+                    err(
+                        cycle,
+                        bus,
+                        f"read of {src} before any result is ready "
+                        f"(eq. 3: C(R) - C(T) >= {src_rec.latency})",
+                    )
+                else:
+                    tracker.results_read[landed] = True
+            # Triggers: start a new operation record.
+            if dst_rec is not None and dst_rec.starts_op:
+                tracker = trackers.get(dst.unit)
+                if tracker is None:
+                    tracker = trackers[dst.unit] = _FUTracker(dst_rec.latency)
+                tracker.trigger(cycle, has_result=move.opcode != "st")
 
-        for (unit, port), count in dst_use.items():
-            if count > 1:
-                err(cycle, 0, f"{count} moves write {unit}.{port} in one cycle")
-        for (unit, port), count in src_use.items():
-            if count > 1:
-                err(cycle, 0, f"output socket {unit}.{port} drives {count} buses")
-        for (unit, port), count in rf_port_use.items():
-            if count > 1:
-                err(cycle, 0, f"register-file port {unit}.{port} used {count}x")
+        if slots_used > num_buses:
+            # 1-bus convention: one long-immediate move may spill its
+            # extension word into the next instruction if that is empty.
+            next_empty = cycle + 1 >= length or not instructions[cycle + 1].moves
+            one_long = num_buses == 1 and num_moves == 1 and slots_used == 2
+            if not (one_long and next_empty):
+                violations.insert(head, TimingViolation(
+                    cycle, 0, "long immediates exceed available bus slots"
+                ))
+        # A port repeats across moves, or within one move that has the
+        # same register-file port at both ends.
+        if num_moves > 1 or len(rf_keys) > 1:
+            _port_conflicts(cycle, dst_keys, src_keys, rf_keys, err)
 
     if strict:
         for name, tracker in trackers.items():
@@ -172,121 +295,42 @@ def validate_program(
     return violations
 
 
+def _port_conflicts(cycle: int, dst_keys, src_keys, rf_keys, err) -> None:
+    """Report each port one instruction uses more than once.
+
+    Destinations first, then sources, then register-file ports, each in
+    first-use order.  Most instructions repeat no port; one ``set`` per
+    list tells.
+    """
+    for keys, finding in (
+        (dst_keys, "{n} moves write {unit}.{port} in one cycle"),
+        (src_keys, "output socket {unit}.{port} drives {n} buses"),
+        (rf_keys, "register-file port {unit}.{port} used {n}x"),
+    ):
+        if len(set(keys)) == len(keys):
+            continue
+        counts: dict[tuple[str, str], int] = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        for (unit, port), n in counts.items():
+            if n > 1:
+                err(cycle, 0, finding.format(n=n, unit=unit, port=port))
+
+
 def _has_result(arch: Architecture, unit: str) -> bool:
     spec = arch.unit(unit).spec
     return bool(spec.output_ports) and spec.kind is ComponentKind.FU
 
 
-def _check_move_structure(
-    arch, program, move: Move, cycle, bus, err, src_info=None, dst_info=None
-) -> None:
-    # Guard register range.
-    if move.guard is not None and not 0 <= move.guard.index < arch.num_guard_regs:
-        err(cycle, bus, f"guard g{move.guard.index} out of range")
-
-    # Destination.
-    if move.dst.unit == GUARD_UNIT:
-        index = _guard_index(move.dst.port)
-        if index is None or index >= arch.num_guard_regs:
-            err(cycle, bus, f"bad guard destination {move.dst}")
-    else:
-        if dst_info is None:
-            dst_info = arch.port_table.get((move.dst.unit, move.dst.port))
-        if dst_info is None:
-            if move.dst.unit not in arch.units:
-                err(cycle, bus, f"unknown unit {move.dst.unit!r}")
-            else:
-                err(cycle, bus, f"unknown port {move.dst}")
-            return
-        spec, port, buses = dst_info
-        if not port.is_input:
-            err(cycle, bus, f"{move.dst} is not an input port")
-        if bus not in buses:
-            err(cycle, bus, f"{move.dst} not connected to bus {bus}")
-        if spec.kind is ComponentKind.RF:
-            if move.dst_reg is None or not 0 <= move.dst_reg < spec.num_regs:
-                err(cycle, bus, f"bad register index on {move.dst}")
-        if port.is_trigger:
-            _check_opcode(arch, spec, move, cycle, bus, err)
-        if spec.kind is ComponentKind.PC:
-            target = move.src
-            if isinstance(target, Literal) and not 0 <= target.value <= len(
-                program.instructions
-            ):
-                err(cycle, bus, f"jump target {target.value} outside program")
-
-    # Source.
-    if isinstance(move.src, Literal):
-        if move.needs_long_immediate() and arch.imm_unit is None:
-            err(cycle, bus, "long immediate needs an immediate unit")
-        return
-    if move.src.unit == GUARD_UNIT:
-        index = _guard_index(move.src.port)
-        if index is None or index >= arch.num_guard_regs:
-            err(cycle, bus, f"bad guard source {move.src}")
-        return
-    if src_info is None:
-        src_info = arch.port_table.get((move.src.unit, move.src.port))
-    if src_info is None:
-        if move.src.unit not in arch.units:
-            err(cycle, bus, f"unknown unit {move.src.unit!r}")
-        else:
-            err(cycle, bus, f"unknown port {move.src}")
-        return
-    spec, port, buses = src_info
-    if port.is_input:
-        err(cycle, bus, f"{move.src} is not an output port")
-    if bus not in buses:
-        err(cycle, bus, f"{move.src} not connected to bus {bus}")
-    if spec.kind is ComponentKind.RF:
-        if move.src_reg is None or not 0 <= move.src_reg < spec.num_regs:
-            err(cycle, bus, f"bad register index on {move.src}")
-
-
-def _check_opcode(arch, spec, move: Move, cycle, bus, err) -> None:
+def _opcode_finding(spec, move: Move) -> str:
+    """Why a trigger's unit rejects ``move.opcode``."""
     if spec.kind is ComponentKind.FU:
         if move.opcode not in spec.ops:
-            err(cycle, bus, f"opcode {move.opcode!r} not supported by {move.dst.unit}")
-        elif move.opcode not in KNOWN_FU_OPS:
-            err(cycle, bus, f"opcode {move.opcode!r} has no behavioural model")
-    elif spec.kind is ComponentKind.LSU:
-        if move.opcode not in LSU_OPCODES:
-            err(cycle, bus, f"LSU opcode {move.opcode!r} invalid")
-    elif spec.kind is ComponentKind.PC:
-        if move.opcode not in PC_OPCODES:
-            err(cycle, bus, f"PC opcode {move.opcode!r} invalid")
-
-
-def _check_fu_timing(
-    move: Move, cycle, bus, trackers, err, src_info, dst_info
-) -> None:
-    # Result reads: relation (3) — not before trigger + latency.
-    if (
-        src_info is not None
-        and not src_info[1].is_input
-        and src_info[0].kind in (ComponentKind.FU, ComponentKind.LSU)
-    ):
-        src = move.src
-        tracker = trackers.get(src.unit)
-        landed = tracker.landed_index(cycle) if tracker else None
-        if landed is None:
-            err(
-                cycle,
-                bus,
-                f"read of {src} before any result is ready "
-                f"(eq. 3: C(R) - C(T) >= {src_info[0].latency})",
-            )
-        else:
-            tracker.results_read[landed] = True
-
-    # Triggers: start a new operation record.
-    if dst_info is not None and dst_info[1].is_trigger:
-        spec = dst_info[0]
-        if spec.kind in (ComponentKind.FU, ComponentKind.LSU):
-            tracker = trackers.setdefault(
-                move.dst.unit, _FUTracker(spec.latency)
-            )
-            tracker.trigger(cycle, has_result=move.opcode != "st")
+            return f"opcode {move.opcode!r} not supported by {move.dst.unit}"
+        return f"opcode {move.opcode!r} has no behavioural model"
+    if spec.kind is ComponentKind.LSU:
+        return f"LSU opcode {move.opcode!r} invalid"
+    return f"PC opcode {move.opcode!r} invalid"
 
 
 def _guard_index(port: str) -> int | None:

@@ -20,12 +20,19 @@
   stuck-at detections came from 64-pattern words: one
   ``simulate_word([pattern], [fault])`` call, over this module's
   :class:`FaultSimulator`, per (capture pattern, fault) question.
+* :func:`schedule_allocated` and :func:`validate_program` -- the compile
+  path as it stood before per-program port records: the block scheduler
+  resolving each unit's ports per operation and scanning the function
+  for a fusable compare once per block, and the timing validator checking
+  each move through three helper calls.  Every program, schedule error
+  and violation list of the shipped compile path must equal these.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -36,6 +43,17 @@ from repro.atpg.delay import (
 )
 from repro.atpg.faults import Fault, enumerate_faults
 from repro.atpg.faultsim import WORD
+from repro.compiler.ir import (
+    CMP_OPCODES,
+    LOAD_OPCODES,
+    Branch,
+    Halt,
+    IRFunction,
+    Jump,
+    Op,
+)
+from repro.compiler.regalloc import RegisterAllocation
+from repro.compiler.scheduler import CompileResult, ScheduleError
 from repro.components.reference import (
     ALU_OPS,
     CMP_OPS,
@@ -53,8 +71,23 @@ from repro.netlist.cells import CellType
 from repro.netlist.netlist import Netlist
 from repro.tta.activity import ActivityTrace, hamming
 from repro.tta.arch import Architecture
-from repro.tta.isa import GUARD_UNIT, Guard, Instruction, Literal, Move, PortRef, Program
+from repro.tta.isa import (
+    GUARD_UNIT,
+    SHORT_IMM_BITS,
+    Guard,
+    Instruction,
+    Literal,
+    Move,
+    PortRef,
+    Program,
+)
 from repro.tta.simulator import BRANCH_DELAY_SLOTS, DMEM_WORDS, SimulationError
+from repro.tta.timing import (
+    KNOWN_FU_OPS,
+    LSU_OPCODES,
+    PC_OPCODES,
+    TimingViolation,
+)
 from repro.util.bitops import mask
 
 T = TypeVar("T")
@@ -1254,3 +1287,767 @@ class DelayAnalyzer:
             sequence.insert(position, init)
             extra += 1
         return sequence
+
+
+# ----------------------------------------------------------------------
+# The compile path as it stood before per-program port records: the
+# block scheduler resolving each unit's ports with ``next(...)`` per
+# operation and re-scanning the function for a fusable compare per
+# block, and the timing validator checking every move through three
+# helper calls.  Every program, ``ScheduleError`` message and
+# ``TimingViolation`` list of the shipped compile path must equal these.
+# ----------------------------------------------------------------------
+#: Placeholder for unpatched jump targets (never a valid address).
+_JUMP_PLACEHOLDER = -1
+
+#: Bus slots reserved for a jump move (target may patch to a long imm).
+_JUMP_SLOTS = 2
+
+_SEARCH_LIMIT = 100_000
+
+#: Literals outside [-limit, limit) need a long-immediate extension slot.
+_SHORT_IMM_LIMIT = 1 << (SHORT_IMM_BITS - 1)
+
+
+def _needs_long_immediate(move: Move) -> bool:
+    if not isinstance(move.src, Literal):
+        return False
+    return not -_SHORT_IMM_LIMIT <= move.src.value < _SHORT_IMM_LIMIT
+
+
+@dataclass(slots=True)
+class _FUTrack:
+    last_trigger: int = -1       # cycle of most recent trigger (eqs. 4/5)
+    min_next_trigger: int = 0    # keep the result register drained (eq. 4)
+    last_mem_trigger: int = -1   # LSU program order
+
+
+class _BlockScheduler:
+    """Greedy per-block transport scheduler with immediate reservation."""
+
+    def __init__(self, arch: Architecture, allocation: RegisterAllocation):
+        self.arch = arch
+        self.num_buses = arch.num_buses
+        self.allocation = allocation
+        self.placed: list[tuple[int, Move]] = []
+        self.bus_load: list[int] = []
+        self.port_busy: set[tuple[int, str, str]] = set()
+        self._rf_read_ports: dict[str, tuple[str, ...]] = {}
+        self._rf_write_ports: dict[str, tuple[str, ...]] = {}
+        self.avail: dict[str, int] = {}     # vreg -> first readable cycle
+        self.fu: dict[str, _FUTrack] = {}
+        self.guard_ready = 0
+        self.last_jump: int | None = None
+        self.top = 0                         # highest used cycle + 1
+        self.slot_reads: dict[tuple[str, int], int] = {}
+        self.slot_writes: dict[tuple[str, int], int] = {}
+
+    # -- resource primitives -----------------------------------------------
+    @staticmethod
+    def _imm_slots(src) -> int:
+        if isinstance(src, Literal):
+            return 1 if -_SHORT_IMM_LIMIT <= src.value < _SHORT_IMM_LIMIT else 2
+        return 1
+
+    def _load_at(self, cycle: int) -> int:
+        load = self.bus_load
+        return load[cycle] if cycle < len(load) else 0
+
+    def _add_load(self, cycle: int, amount: int) -> None:
+        load = self.bus_load
+        if cycle >= len(load):
+            load.extend([0] * (cycle + 1 - len(load)))
+        load[cycle] += amount
+
+    def _bus_free(self, cycle: int, want: int) -> bool:
+        nb = self.num_buses
+        if want <= nb:
+            return self._load_at(cycle) + want <= nb
+        if nb == 1 and want == 2:
+            return self._load_at(cycle) == 0 and self._load_at(cycle + 1) == 0
+        return False
+
+    def _port_free(self, cycle: int, unit: str, port: str) -> bool:
+        return (cycle, unit, port) not in self.port_busy
+
+    def _place(
+        self,
+        cycle: int,
+        move: Move,
+        ports: list[tuple[str, str]],
+        slots: int | None = None,
+    ) -> None:
+        want = slots if slots is not None else self._imm_slots(move.src)
+        nb = self.num_buses
+        if want > nb:
+            self._add_load(cycle, 1)
+            self._add_load(cycle + 1, nb - self._load_at(cycle + 1))
+            self.top = max(self.top, cycle + 2)
+        else:
+            self._add_load(cycle, want)
+            self.top = max(self.top, cycle + 1)
+        for unit, port in ports:
+            self.port_busy.add((cycle, unit, port))
+        self.placed.append((cycle, move))
+
+    def _pick_rf_port(self, cycle: int, rf_unit: str, output: bool) -> str | None:
+        cache = self._rf_read_ports if output else self._rf_write_ports
+        names = cache.get(rf_unit)
+        if names is None:
+            spec = self.arch.unit(rf_unit).spec
+            ports = spec.output_ports if output else spec.input_ports
+            names = cache[rf_unit] = tuple(p.name for p in ports)
+        busy = self.port_busy
+        for name in names:
+            if (cycle, rf_unit, name) not in busy:
+                return name
+        return None
+
+    # -- generic "deliver a value to an input port" -------------------------
+    def _deliver(
+        self,
+        operand: str | int,
+        dst: PortRef,
+        earliest: int,
+        opcode: str | None = None,
+        dst_reg: int | None = None,
+        reserve_dst_port: bool = True,
+    ) -> int:
+        literal = isinstance(operand, int)
+        ready = 0 if literal else self.avail.get(operand, 0)
+        cycle = max(earliest, ready, 0)
+        if literal:
+            lit_src = Literal(operand)
+            lit_slots = self._imm_slots(lit_src)
+        else:
+            rf_unit, index = self.allocation.home(operand)
+        port_busy = self.port_busy
+        bus_load = self.bus_load
+        nb = self.num_buses
+        dst_unit, dst_port = dst.unit, dst.port
+        for _ in range(_SEARCH_LIMIT):
+            ports: list[tuple[str, str]] = []
+            if reserve_dst_port and (cycle, dst_unit, dst_port) in port_busy:
+                cycle += 1
+                continue
+            if literal:
+                src: Literal | PortRef = lit_src
+                src_reg = None
+                if not self._bus_free(cycle, lit_slots):
+                    cycle += 1
+                    continue
+            else:
+                if (bus_load[cycle] if cycle < len(bus_load) else 0) >= nb:
+                    cycle += 1
+                    continue
+                rport = self._pick_rf_port(cycle, rf_unit, output=True)
+                if rport is None:
+                    cycle += 1
+                    continue
+                src = PortRef(rf_unit, rport)
+                src_reg = index
+                ports.append((rf_unit, rport))
+            if reserve_dst_port:
+                ports.append((dst.unit, dst.port))
+            move = Move(src, dst, opcode=opcode, src_reg=src_reg, dst_reg=dst_reg)
+            self._place(cycle, move, ports)
+            if not literal:
+                slot = (rf_unit, index)
+                prior = self.slot_reads.get(slot, -1)
+                if cycle > prior:
+                    self.slot_reads[slot] = cycle
+            return cycle
+        raise ScheduleError(f"cannot deliver {operand!r} to {dst}")
+
+    def _drain_result(
+        self,
+        unit_name: str,
+        result_port: str,
+        earliest: int,
+        dst: str | None,
+        to_guard: bool,
+    ) -> int:
+        cycle = max(earliest, 0)
+        if not to_guard:
+            assert dst is not None
+            slot = self.allocation.home(dst)
+            cycle = max(
+                cycle,
+                self.slot_reads.get(slot, -1),          # anti-dependence
+                self.slot_writes.get(slot, -1) + 1,     # output dependence
+            )
+        port_busy = self.port_busy
+        bus_load = self.bus_load
+        nb = self.num_buses
+        for _ in range(_SEARCH_LIMIT):
+            if (bus_load[cycle] if cycle < len(bus_load) else 0) >= nb or (
+                cycle, unit_name, result_port
+            ) in port_busy:
+                cycle += 1
+                continue
+            if to_guard:
+                move = Move(
+                    PortRef(unit_name, result_port), PortRef(GUARD_UNIT, "g0")
+                )
+                self._place(cycle, move, [(unit_name, result_port)])
+                self.guard_ready = cycle + 1
+                return cycle
+            rf_unit, index = slot
+            wport = self._pick_rf_port(cycle, rf_unit, output=False)
+            if wport is None:
+                cycle += 1
+                continue
+            move = Move(
+                PortRef(unit_name, result_port),
+                PortRef(rf_unit, wport),
+                dst_reg=index,
+            )
+            self._place(
+                cycle, move, [(unit_name, result_port), (rf_unit, wport)]
+            )
+            self.avail[dst] = cycle + 1
+            self.slot_writes[slot] = cycle
+            return cycle
+        raise ScheduleError(f"cannot drain result of {unit_name}")
+
+    # -- op scheduling ----------------------------------------------------
+    def schedule_op(self, op: Op, guard_dst: bool = False) -> None:
+        if op.opcode == "li":
+            self._schedule_copy(int(op.a), op.dst)
+            return
+        if op.opcode == "mov":
+            self._schedule_fu_op(Op("or", op.dst, op.a, 0), guard_dst)
+            return
+        if op.opcode in LOAD_OPCODES or op.opcode == "st":
+            self._schedule_memory(op)
+            return
+        self._schedule_fu_op(op, guard_dst)
+
+    def _schedule_copy(self, value: int, dst: str) -> None:
+        slot = self.allocation.home(dst)
+        rf_unit, index = slot
+        src = Literal(value)
+        want = self._imm_slots(src)
+        cycle = max(
+            0,
+            self.slot_reads.get(slot, -1),
+            self.slot_writes.get(slot, -1) + 1,
+        )
+        for _ in range(_SEARCH_LIMIT):
+            if self._bus_free(cycle, want):
+                wport = self._pick_rf_port(cycle, rf_unit, output=False)
+                if wport is not None:
+                    move = Move(src, PortRef(rf_unit, wport), dst_reg=index)
+                    self._place(cycle, move, [(rf_unit, wport)])
+                    self.avail[dst] = cycle + 1
+                    self.slot_writes[slot] = cycle
+                    return
+            cycle += 1
+        raise ScheduleError("cannot place literal copy")
+
+    def _track(self, unit_name: str) -> _FUTrack:
+        track = self.fu.get(unit_name)
+        if track is None:
+            track = self.fu[unit_name] = _FUTrack()
+        return track
+
+    def _choose_fu(self, op: Op):
+        candidates = self.arch.fu_for_op(op.opcode)
+        if not candidates:
+            raise ScheduleError(f"no FU supports {op.opcode!r}")
+        if len(candidates) == 1:
+            return candidates[0]
+
+        def pressure(unit) -> tuple[int, int]:
+            track = self._track(unit.name)
+            return (max(track.min_next_trigger, track.last_trigger + 1),
+                    track.last_trigger)
+
+        return min(candidates, key=pressure)
+
+    def _schedule_fu_op(self, op: Op, guard_dst: bool) -> None:
+        unit = self._choose_fu(op)
+        spec = unit.spec
+        track = self._track(unit.name)
+        trigger_port = spec.trigger_port.name
+        operand_port = next(
+            (p.name for p in spec.input_ports if not p.is_trigger), None
+        )
+        result_port = spec.output_ports[0].name
+
+        t_op = track.last_trigger  # so trigger lower bound is last_trigger+1
+        if operand_port is not None:
+            t_op = self._deliver(
+                op.a, PortRef(unit.name, operand_port),
+                earliest=track.last_trigger + 1,
+            )
+        t_trig = self._deliver(
+            op.b,
+            PortRef(unit.name, trigger_port),
+            earliest=max(t_op, track.min_next_trigger, track.last_trigger + 1),
+            opcode=op.opcode,
+        )
+        t_res = self._drain_result(
+            unit.name, result_port, t_trig + spec.latency, op.dst, guard_dst
+        )
+        track.last_trigger = t_trig
+        track.min_next_trigger = max(
+            track.min_next_trigger, t_res - spec.latency + 1
+        )
+
+    def _schedule_memory(self, op: Op) -> None:
+        unit = self.arch.lsu
+        if unit is None:
+            raise ScheduleError("architecture has no load/store unit")
+        spec = unit.spec
+        track = self._track(unit.name)
+        is_store = op.opcode == "st"
+
+        t_op = track.last_trigger
+        if is_store:
+            t_op = self._deliver(
+                op.b, PortRef(unit.name, "wdata"),
+                earliest=track.last_trigger + 1,
+            )
+        t_trig = self._deliver(
+            op.a,
+            PortRef(unit.name, "addr"),
+            earliest=max(
+                t_op,
+                track.min_next_trigger,
+                track.last_trigger + 1,
+                track.last_mem_trigger + 1,
+            ),
+            opcode=op.opcode,
+        )
+        track.last_trigger = t_trig
+        track.last_mem_trigger = t_trig
+        if not is_store:
+            t_res = self._drain_result(
+                unit.name, "rdata", t_trig + spec.latency, op.dst, False
+            )
+            track.min_next_trigger = max(
+                track.min_next_trigger, t_res - spec.latency + 1
+            )
+
+    # -- control flow ----------------------------------------------------
+    def schedule_guard_load(self, cond: str) -> None:
+        cycle = self._deliver(
+            cond, PortRef(GUARD_UNIT, "g0"), earliest=0, reserve_dst_port=False
+        )
+        self.guard_ready = cycle + 1
+
+    def schedule_jump(self, guarded: bool, invert: bool) -> int:
+        pc_name = self.arch.pc_unit.name
+        earliest = max(
+            self.guard_ready if guarded else 0,
+            self.top - 1 - BRANCH_DELAY_SLOTS + 1,   # work finishes in slot
+            0,
+        )
+        if self.last_jump is not None:
+            earliest = max(earliest, self.last_jump + BRANCH_DELAY_SLOTS + 1)
+        cycle = earliest
+        for _ in range(_SEARCH_LIMIT):
+            if self._bus_free(cycle, _JUMP_SLOTS) and self._port_free(
+                cycle, pc_name, "target"
+            ):
+                guard = Guard(0, invert) if guarded else None
+                move = Move(
+                    Literal(_JUMP_PLACEHOLDER),
+                    PortRef(pc_name, "target"),
+                    opcode="jump",
+                    guard=guard,
+                )
+                self._place(
+                    cycle, move, [(pc_name, "target")], slots=_JUMP_SLOTS
+                )
+                self.last_jump = cycle
+                return cycle
+            cycle += 1
+        raise ScheduleError("cannot place jump")
+
+    # -- finalisation ----------------------------------------------------
+    def build_instructions(self, length: int, halt: bool) -> list[Instruction]:
+        instructions = [
+            Instruction(slots=[None] * self.arch.num_buses)
+            for _ in range(length)
+        ]
+        by_cycle: dict[int, list[Move]] = {}
+        for cycle, move in self.placed:
+            by_cycle.setdefault(cycle, []).append(move)
+        for cycle, moves in by_cycle.items():
+            bus = 0
+            for move in moves:
+                while (
+                    bus < self.arch.num_buses
+                    and instructions[cycle].slots[bus] is not None
+                ):
+                    bus += 1
+                if bus >= self.arch.num_buses:
+                    raise ScheduleError(f"slot overflow at relative cycle {cycle}")
+                instructions[cycle].slots[bus] = move
+                bus += 1
+        if halt and instructions:
+            instructions[-1].halt = True
+        return instructions
+
+
+def schedule_allocated(
+    rewritten: IRFunction,
+    allocation: RegisterAllocation,
+    arch: Architecture,
+    validate: bool = True,
+) -> CompileResult:
+    """Schedule and lay out an already register-allocated function."""
+    block_instrs: dict[str, list[Instruction]] = {}
+    jump_fixups: list[tuple[str, int, str]] = []   # (block, rel cycle, target)
+    block_cycles: dict[str, int] = {}
+
+    names = list(rewritten.blocks)
+    for position, name in enumerate(names):
+        block = rewritten.blocks[name]
+        sched = _BlockScheduler(arch, allocation)
+
+        guard_op_index = _fusable_cmp(rewritten, block)
+        for index, op in enumerate(block.ops):
+            sched.schedule_op(op, guard_dst=(index == guard_op_index))
+
+        term = block.terminator
+        fallthrough = names[position + 1] if position + 1 < len(names) else None
+        halt = isinstance(term, Halt)
+        jump_cycle = None
+        if isinstance(term, Jump):
+            if term.target != fallthrough:
+                jump_cycle = sched.schedule_jump(guarded=False, invert=False)
+                jump_fixups.append((name, jump_cycle, term.target))
+        elif isinstance(term, Branch):
+            needs_jump = not (
+                term.if_true == fallthrough and term.if_false == fallthrough
+            )
+            if needs_jump:
+                if guard_op_index is None:
+                    sched.schedule_guard_load(term.cond)
+                if term.if_true == fallthrough:
+                    jump_cycle = sched.schedule_jump(
+                        guarded=True, invert=not term.invert
+                    )
+                    jump_fixups.append((name, jump_cycle, term.if_false))
+                else:
+                    jump_cycle = sched.schedule_jump(
+                        guarded=True, invert=term.invert
+                    )
+                    jump_fixups.append((name, jump_cycle, term.if_true))
+                    if term.if_false != fallthrough:
+                        second = sched.schedule_jump(guarded=False, invert=False)
+                        jump_fixups.append((name, second, term.if_false))
+                        jump_cycle = second
+
+        length = sched.top
+        if jump_cycle is not None:
+            length = max(length, jump_cycle + 1 + BRANCH_DELAY_SLOTS)
+        length = max(length, 1)
+        block_instrs[name] = sched.build_instructions(length, halt)
+        block_cycles[name] = length
+
+    program = Program(name=rewritten.name, data=dict(rewritten.data))
+    block_starts: dict[str, int] = {}
+    for name in names:
+        block_starts[name] = len(program.instructions)
+        for index, instruction in enumerate(block_instrs[name]):
+            if index == 0:
+                instruction.label = name
+            program.append(instruction)
+
+    for name, rel_cycle, target in jump_fixups:
+        instruction = program.instructions[block_starts[name] + rel_cycle]
+        for bus, move in enumerate(instruction.slots):
+            if (
+                move is not None
+                and isinstance(move.src, Literal)
+                and move.src.value == _JUMP_PLACEHOLDER
+                and move.opcode == "jump"
+            ):
+                instruction.slots[bus] = Move(
+                    Literal(block_starts[target]),
+                    move.dst,
+                    opcode=move.opcode,
+                    guard=move.guard,
+                )
+                break
+        else:
+            raise ScheduleError(f"jump fixup lost in block {name!r}")
+
+    total_moves = sum(len(i.moves) for i in program.instructions)
+    result = CompileResult(
+        program=program,
+        allocation=allocation,
+        block_cycles=block_cycles,
+        block_starts=block_starts,
+        total_moves=total_moves,
+    )
+    if validate:
+        violations = validate_program(arch, program, strict=False)
+        if violations:
+            details = "; ".join(str(v) for v in violations[:5])
+            raise ScheduleError(
+                f"scheduler produced invalid code ({len(violations)} "
+                f"violations): {details}"
+            )
+    return result
+
+
+def _fusable_cmp(fn: IRFunction, block) -> int | None:
+    """Index of a cmp op whose only consumer is this block's branch."""
+    term = block.terminator
+    if not isinstance(term, Branch):
+        return None
+    cond = term.cond
+    def_index = None
+    for index, op in enumerate(block.ops):
+        if op.dst == cond:
+            def_index = index
+    if def_index is None or block.ops[def_index].opcode not in CMP_OPCODES:
+        return None
+    for other in fn.blocks.values():
+        for op in other.ops:
+            if cond in op.sources():
+                return None
+        if other is not block and isinstance(other.terminator, Branch):
+            if other.terminator.cond == cond:
+                return None
+    return def_index
+
+
+class _FUTracker:
+    """Per-FU operation bookkeeping for relations (3) and (4)."""
+
+    def __init__(self, latency: int):
+        self.latency = latency
+        self.trigger_cycles: list[int] = []
+        self.results_read: list[bool] = []
+        self.has_result: list[bool] = []
+
+    def trigger(self, cycle: int, has_result: bool = True) -> None:
+        self.trigger_cycles.append(cycle)
+        self.results_read.append(False)
+        self.has_result.append(has_result)
+
+    def landed_index(self, cycle: int) -> int | None:
+        i = bisect_right(self.trigger_cycles, cycle - self.latency) - 1
+        while i >= 0 and not self.has_result[i]:
+            i -= 1
+        return i if i >= 0 else None
+
+
+def validate_program(
+    arch: Architecture,
+    program: Program,
+    strict: bool = True,
+) -> list[TimingViolation]:
+    """Check a scheduled program against the architecture and eqs. 2-8."""
+    violations: list[TimingViolation] = []
+    trackers: dict[str, _FUTracker] = {}
+    port_table = arch.port_table
+    num_buses = arch.num_buses
+
+    def err(cycle: int, bus: int, message: str) -> None:
+        violations.append(TimingViolation(cycle, bus, message))
+
+    rf_port_use: dict[tuple[str, str], int] = {}
+    dst_use: dict[tuple[str, str], int] = {}
+    src_use: dict[tuple[str, str], int] = {}
+
+    for cycle, instruction in enumerate(program.instructions):
+        slots = instruction.slots
+        if len(slots) > num_buses:
+            err(cycle, 0, f"{len(slots)} slots > {num_buses} buses")
+        num_moves = 0
+        slots_used = 0
+        for m in slots:
+            if m is not None:
+                num_moves += 1
+                slots_used += 2 if _needs_long_immediate(m) else 1
+        if slots_used > num_buses:
+            next_empty = (
+                cycle + 1 < len(program.instructions)
+                and not program.instructions[cycle + 1].moves
+            ) or cycle + 1 >= len(program.instructions)
+            one_long = num_buses == 1 and num_moves == 1 and slots_used == 2
+            if not (one_long and next_empty):
+                err(cycle, 0, "long immediates exceed available bus slots")
+
+        rf_port_use.clear()
+        dst_use.clear()
+        src_use.clear()
+
+        for bus, move in enumerate(slots):
+            if move is None:
+                continue
+            src = move.src
+            dst = move.dst
+            src_info = (
+                port_table.get((src.unit, src.port))
+                if type(src) is PortRef
+                else None
+            )
+            dst_info = port_table.get((dst.unit, dst.port))
+            _check_move_structure(
+                arch, program, move, cycle, bus, err, src_info, dst_info
+            )
+            if type(src) is PortRef and src.unit != GUARD_UNIT:
+                key = (src.unit, src.port)
+                src_use[key] = src_use.get(key, 0) + 1
+                if src_info is not None and src_info[0].kind is ComponentKind.RF:
+                    rf_port_use[key] = rf_port_use.get(key, 0) + 1
+            if dst.unit != GUARD_UNIT:
+                key = (dst.unit, dst.port)
+                dst_use[key] = dst_use.get(key, 0) + 1
+                if dst_info is not None and dst_info[0].kind is ComponentKind.RF:
+                    rf_port_use[key] = rf_port_use.get(key, 0) + 1
+
+            _check_fu_timing(move, cycle, bus, trackers, err, src_info, dst_info)
+
+        for (unit, port), count in dst_use.items():
+            if count > 1:
+                err(cycle, 0, f"{count} moves write {unit}.{port} in one cycle")
+        for (unit, port), count in src_use.items():
+            if count > 1:
+                err(cycle, 0, f"output socket {unit}.{port} drives {count} buses")
+        for (unit, port), count in rf_port_use.items():
+            if count > 1:
+                err(cycle, 0, f"register-file port {unit}.{port} used {count}x")
+
+    if strict:
+        for name, tracker in trackers.items():
+            if not _has_result(arch, name):
+                continue
+            result_ops = [
+                (t, tracker.results_read[i])
+                for i, t in enumerate(tracker.trigger_cycles)
+                if tracker.has_result[i]
+            ]
+            for (t, was_read) in result_ops[:-1]:
+                if not was_read:
+                    err(
+                        t, 0,
+                        f"{name}: result of trigger at cycle {t} overwritten unread",
+                    )
+    return violations
+
+
+def _has_result(arch: Architecture, unit: str) -> bool:
+    spec = arch.unit(unit).spec
+    return bool(spec.output_ports) and spec.kind is ComponentKind.FU
+
+
+def _check_move_structure(
+    arch, program, move: Move, cycle, bus, err, src_info=None, dst_info=None
+) -> None:
+    if move.guard is not None and not 0 <= move.guard.index < arch.num_guard_regs:
+        err(cycle, bus, f"guard g{move.guard.index} out of range")
+
+    if move.dst.unit == GUARD_UNIT:
+        index = _guard_index(move.dst.port)
+        if index is None or index >= arch.num_guard_regs:
+            err(cycle, bus, f"bad guard destination {move.dst}")
+    else:
+        if dst_info is None:
+            dst_info = arch.port_table.get((move.dst.unit, move.dst.port))
+        if dst_info is None:
+            if move.dst.unit not in arch.units:
+                err(cycle, bus, f"unknown unit {move.dst.unit!r}")
+            else:
+                err(cycle, bus, f"unknown port {move.dst}")
+            return
+        spec, port, buses = dst_info
+        if not port.is_input:
+            err(cycle, bus, f"{move.dst} is not an input port")
+        if bus not in buses:
+            err(cycle, bus, f"{move.dst} not connected to bus {bus}")
+        if spec.kind is ComponentKind.RF:
+            if move.dst_reg is None or not 0 <= move.dst_reg < spec.num_regs:
+                err(cycle, bus, f"bad register index on {move.dst}")
+        if port.is_trigger:
+            _check_opcode(arch, spec, move, cycle, bus, err)
+        if spec.kind is ComponentKind.PC:
+            target = move.src
+            if isinstance(target, Literal) and not 0 <= target.value <= len(
+                program.instructions
+            ):
+                err(cycle, bus, f"jump target {target.value} outside program")
+
+    if isinstance(move.src, Literal):
+        if _needs_long_immediate(move) and arch.imm_unit is None:
+            err(cycle, bus, "long immediate needs an immediate unit")
+        return
+    if move.src.unit == GUARD_UNIT:
+        index = _guard_index(move.src.port)
+        if index is None or index >= arch.num_guard_regs:
+            err(cycle, bus, f"bad guard source {move.src}")
+        return
+    if src_info is None:
+        src_info = arch.port_table.get((move.src.unit, move.src.port))
+    if src_info is None:
+        if move.src.unit not in arch.units:
+            err(cycle, bus, f"unknown unit {move.src.unit!r}")
+        else:
+            err(cycle, bus, f"unknown port {move.src}")
+        return
+    spec, port, buses = src_info
+    if port.is_input:
+        err(cycle, bus, f"{move.src} is not an output port")
+    if bus not in buses:
+        err(cycle, bus, f"{move.src} not connected to bus {bus}")
+    if spec.kind is ComponentKind.RF:
+        if move.src_reg is None or not 0 <= move.src_reg < spec.num_regs:
+            err(cycle, bus, f"bad register index on {move.src}")
+
+
+def _check_opcode(arch, spec, move: Move, cycle, bus, err) -> None:
+    if spec.kind is ComponentKind.FU:
+        if move.opcode not in spec.ops:
+            err(cycle, bus, f"opcode {move.opcode!r} not supported by {move.dst.unit}")
+        elif move.opcode not in KNOWN_FU_OPS:
+            err(cycle, bus, f"opcode {move.opcode!r} has no behavioural model")
+    elif spec.kind is ComponentKind.LSU:
+        if move.opcode not in LSU_OPCODES:
+            err(cycle, bus, f"LSU opcode {move.opcode!r} invalid")
+    elif spec.kind is ComponentKind.PC:
+        if move.opcode not in PC_OPCODES:
+            err(cycle, bus, f"PC opcode {move.opcode!r} invalid")
+
+
+def _check_fu_timing(
+    move: Move, cycle, bus, trackers, err, src_info, dst_info
+) -> None:
+    if (
+        src_info is not None
+        and not src_info[1].is_input
+        and src_info[0].kind in (ComponentKind.FU, ComponentKind.LSU)
+    ):
+        src = move.src
+        tracker = trackers.get(src.unit)
+        landed = tracker.landed_index(cycle) if tracker else None
+        if landed is None:
+            err(
+                cycle,
+                bus,
+                f"read of {src} before any result is ready "
+                f"(eq. 3: C(R) - C(T) >= {src_info[0].latency})",
+            )
+        else:
+            tracker.results_read[landed] = True
+
+    if dst_info is not None and dst_info[1].is_trigger:
+        spec = dst_info[0]
+        if spec.kind in (ComponentKind.FU, ComponentKind.LSU):
+            tracker = trackers.setdefault(
+                move.dst.unit, _FUTracker(spec.latency)
+            )
+            tracker.trigger(cycle, has_result=move.opcode != "st")
+
+
+def _guard_index(port: str) -> int | None:
+    if port.startswith("g") and port[1:].isdigit():
+        return int(port[1:])
+    return None

@@ -563,6 +563,96 @@ def test_concurrent_axis_writers_do_not_drop_each_other(tmp_path):
     assert entry["test_cost"] is not None and entry["energy"] is not None
 
 
+def _leftovers(directory) -> list[str]:
+    """Temp files a write left behind (entry walks never see them)."""
+    return sorted(p.name for p in directory.rglob("*.tmp.*"))
+
+
+def test_axis_free_put_takes_no_lock(tmp_path):
+    """A fresh (area, cycles) put writes without the per-key lock file;
+    a put carrying a post-pass axis still takes it."""
+    cache = ResultCache(tmp_path)
+    cache.put("gcd", EvaluatedPoint(config=SMALL[0], area=2.0, cycles=100), 16)
+    assert len(cache) == 1
+    assert not list(tmp_path.glob("shards/*/*.lock"))
+
+    axis = EvaluatedPoint(config=SMALL[1], area=3.0, cycles=50, test_cost=7)
+    cache.put("gcd", axis, 16, march="March C-")
+    key = cache_key("gcd", SMALL[1], 16)
+    assert [p.name for p in tmp_path.glob("shards/*/*.lock")] == [f"{key}.lock"]
+    assert cache.get("gcd", SMALL[1], 16, march="March C-").test_cost == 7
+
+
+def test_threads_putting_one_key_leave_one_entry(tmp_path, monkeypatch):
+    """Service jobs share one cache across threads; lock-free puts of one
+    key must not share a temp file.  Each rename waits until every
+    thread has written its temp file too, so a shared temp name would
+    lose a thread's file before its rename."""
+    import threading
+
+    cache = ResultCache(tmp_path)
+    point = EvaluatedPoint(config=SMALL[0], area=2.0, cycles=100, code_size=64)
+    errors = []
+    all_written = threading.Barrier(3, timeout=10)
+    rename = os.replace
+
+    def rename_when_all_written(src, dst):
+        all_written.wait()
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", rename_when_all_written)
+
+    def hammer():
+        try:
+            for _ in range(200):
+                cache.put("gcd", point, 16)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            all_written.abort()
+
+    threads = [threading.Thread(target=hammer) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert errors == []
+    assert len(cache) == 1
+    assert cache.verify()["ok"] == 1
+    assert _leftovers(tmp_path) == []
+    assert cache.stats.puts == 600
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cache.put("gcd", EvaluatedPoint(config=SMALL[0], area=2.0, cycles=100), 16)
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename onto {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for point, kwargs in (
+        (EvaluatedPoint(config=SMALL[1], area=3.0, cycles=50), {}),
+        (EvaluatedPoint(config=SMALL[0], area=2.0, cycles=100, energy=1.5),
+         {"energy_model": "default"}),
+    ):
+        with pytest.raises(PermissionError):
+            cache.put("gcd", point, 16, **kwargs)
+        assert _leftovers(tmp_path) == []
+    with pytest.raises(PermissionError):
+        cache.persist_stats()
+    assert _leftovers(tmp_path) == []
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_undecodable_entry_is_quarantined(tmp_path):
+    """Bytes that are not even UTF-8 are corrupt like any torn entry."""
+    cache, config = _seed_cache(tmp_path)
+    cache._path(cache_key("gcd", config, 16)).write_bytes(b"\xff\xfe{")
+    assert cache.get("gcd", config, 16) is None
+    assert cache.stats.quarantined == 1
+
+
 # ----------------------------------------------------------------------
 # up-front validation (S1)
 # ----------------------------------------------------------------------

@@ -299,6 +299,14 @@ def _point(n: int) -> EvaluatedPoint:
     )
 
 
+def _tested_point(n: int) -> EvaluatedPoint:
+    """:func:`_point` with a test-cost axis (its put takes the key lock)."""
+    return EvaluatedPoint(
+        config=ArchConfig(num_buses=n), area=float(n), cycles=10 * n,
+        test_cost=100 * n,
+    )
+
+
 class TestShardedCache:
     def test_entries_land_in_shards(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -311,8 +319,10 @@ class TestShardedCache:
 
     def test_verify_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        for n in (1, 2):
-            cache.put("gcd", _point(n), 16)
+        cache.put("gcd", _point(1), 16)
+        # Only a put that carries a post-pass axis leaves a lock file.
+        cache.put("gcd", _tested_point(2), 16, march="March C-")
+        assert len(list(tmp_path.glob("shards/*/*.lock"))) == 1
         assert len(cache) == 2
         assert cache.verify()["ok"] == 2
         assert cache.clear() == 2
@@ -354,15 +364,20 @@ class TestShardedCache:
 
     def test_explicit_compact_with_override_budget(self, tmp_path):
         cache = ResultCache(tmp_path)        # unbounded instance
-        for n in (1, 2, 3):
+        cache.put("gcd", _tested_point(1), 16, march="March C-")
+        for n in (2, 3):
             cache.put("gcd", _point(n), 16)
+        for n in (1, 2, 3):
             key = cache_key("gcd", ArchConfig(num_buses=n), 16)
             os.utime(
                 tmp_path / "shards" / key[:2] / f"{key}.json", (n, n)
             )
+        assert len(list(tmp_path.glob("shards/*/*.lock"))) == 1
         report = cache.compact(max_bytes=0)
         assert report["evicted"] == 3 and report["bytes"] == 0
         assert cache.stats.evictions == 3
+        # each eviction sweeps its entry's lock file
+        assert not list(tmp_path.glob("shards/*/*.lock"))
 
     def test_persist_stats_accumulates_across_instances(self, tmp_path):
         first = ResultCache(tmp_path)

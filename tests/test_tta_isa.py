@@ -3,6 +3,7 @@
 import pytest
 
 from repro.tta import Guard, Instruction, Literal, Move, PortRef, Program
+from repro.tta.isa import fits_short_immediate
 
 
 def test_move_formatting():
@@ -27,10 +28,10 @@ def test_literal_move():
 
 
 def test_long_immediate_threshold():
-    assert not Move(Literal(127), PortRef("x", "p")).needs_long_immediate()
-    assert Move(Literal(128), PortRef("x", "p")).needs_long_immediate()
-    assert not Move(Literal(-128), PortRef("x", "p")).needs_long_immediate()
-    assert Move(Literal(-129), PortRef("x", "p")).needs_long_immediate()
+    for value, fits in ((127, True), (128, False), (-128, True), (-129, False)):
+        assert fits_short_immediate(value) is fits
+        long = Move(Literal(value), PortRef("x", "p")).needs_long_immediate()
+        assert long is not fits
 
 
 def test_instruction_slots_used():
