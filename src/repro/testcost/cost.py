@@ -1,8 +1,8 @@
 """The analytical test cost functions (eqs. 11-14).
 
 All costs are in *test application cycles*; "the cost is related to the
-testing time".  See DESIGN.md for the documented reconstruction of the
-partially-garbled eq. 12.
+testing time".  The paper's eq. 12 is partially garbled; the
+reconstruction used here is stated in :func:`rf_test_cost`'s docstring.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def fu_test_cost(num_patterns: int, cd: int, n_conn: int, n_buses: int) -> int:
 def rf_test_cost(
     num_patterns: int, cd: int, n_in: int, n_out: int, n_buses: int
 ) -> int:
-    """Eq. 12 (reconstructed, see DESIGN.md):
+    """Eq. 12, reconstructed (the paper's text of it is partially garbled):
 
     * ``min(n_in, n_out) <= n_b`` — parallel port application helps:
       ``ceil(n_p / min(n_in, n_out)) * CD``;

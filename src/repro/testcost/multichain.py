@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 class TestSession:
     """One schedulable component test."""
 
+    __test__ = False            # not a pytest test class, despite its name
+
     name: str
     cycles: int
     after: tuple[str, ...] = ()     # components that must finish first

@@ -27,9 +27,13 @@ Event taxonomy (what is counted, and against what previous value):
   flips.
 
 All counters are exact integers; the trace is purely observational and
-never alters simulation semantics.  The simulator counts into its own
-working tables and fills the trace when a run returns (see
-:mod:`repro.tta.simulator`).
+never alters simulation semantics.  The simulator does not fill the
+trace event by event.  While it runs it counts only what values decide —
+the toggles, into lists indexed by resource — plus how often each
+instruction and each guarded move ran.  The event counts follow from the
+schedule: when a run returns, each move's static transports, accesses
+and activations are multiplied by its execution count, and every dict
+is rebuilt in first-touch order (see :mod:`repro.tta.simulator`).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ moves: the guard's index and polarity; the source as a (storage, index)
 pair — a literal's masked value, a register file's word list, the FU
 result registers or the guard bits; the destination's storage and write
 mask or, for a trigger, the operation function its opcode resolves to in
-:mod:`repro.components.reference`; and integer ids for the bus, sockets,
-ports and units the move's activity touches.  Decoding also counts each
+:mod:`repro.components.reference`; and integer *slot* ids for the
+resources whose activity the move touches.  Decoding also counts each
 instruction's register-file reads and writes; only an instruction that
 could exceed an RF's ports goes through the port-counted ``read`` and
 ``write`` of :class:`~repro.components.register_file.MultiPortMemory` at
@@ -33,23 +33,41 @@ opcode the unit lacks) decodes into a move that raises the interpreter's
 exception when it executes, so a squashed or unreached faulty move stays
 harmless.
 
-Two ordering invariants keep every trace identical to the two-pass
-interpreter that ``tests/oracles.py`` keeps as the reference
-(``tests/test_simulator_oracle.py`` pins results, state and trace):
+Activity tracing is folded.  The schedule fixes every transport, so the
+run loop does per-move work only for what the data decides: the Hamming
+toggles of buses, RF read paths, RF writes, unit input and result
+registers, guard bits and the fetch path, each counted into a list by
+slot id.  Beside them it counts how often each instruction executed and
+how often each *guarded* move was not squashed, with the cycle of the
+first of each; an unguarded move runs exactly when its instruction
+does.  When a run returns, each move's static events — its bus and
+socket transports, RF read or write, unit activation — are multiplied
+by those counts (the *ledger* decoding builds beside the move tuples),
+the fetched words are the executions summed, and the
+:class:`~repro.tta.activity.ActivityTrace` is refilled from them.  A run
+that raises folds nothing.
 
-* activity is counted into int-keyed working tables and folded into the
-  :class:`~repro.tta.activity.ActivityTrace` dicts when ``run`` returns,
-  each dict in *first-touch* order — a key sits where its first event
-  happened, because the energy model's float sums follow dict order;
-* FU results land at the start of their due cycle, so only a cycle with
-  a result due does landing work, and results due in the same cycle land
-  in *unit order* (the architecture's order of FU/LSU units), which is
-  the order their result-port toggles are counted in.
+The trace's dicts are in *first-touch* order, because the energy model's
+float sums follow dict order, so the fold replays first touches: every
+key is placed by its earliest event, stamped (cycle, phase, order,
+position).  The phases of a cycle run landing, sample, plain commit,
+trigger commit; the order is the unit order for landings and the bus
+order otherwise; the position orders one sampled move's RF read, source
+socket, bus and destination socket.  A move's first event falls in the
+first cycle its instruction ran (or, if guarded, the first cycle it was
+not squashed).  An FU's result register is first written ``latency``
+cycles after its first result-producing trigger, if the run reached that
+cycle.  FU results land at the start of their due cycle, so only a cycle
+with a result due does landing work, and results due in the same cycle
+land in unit order (the architecture's order of FU/LSU units).
+``tests/test_simulator_oracle.py`` pins results, state and every trace,
+key order included, against the two-pass interpreter that
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -86,25 +104,28 @@ _LSU_MODE = {
     "ld_h": "high",
 }
 
-# What a plain (non-trigger) move writes: an FU/LSU input register, a
-# register-file word or a guard bit.
-_PORT, _RF_WORD, _GUARD_BIT = range(3)
-
 # What a trigger move launches.
 _FU_OP, _LSU_OP, _JUMP = range(3)
 
-#: The trace's dict fields in working-table order, each with the id space
-#: its keys come from: bus index, (unit, port) pair or unit name.
-_TABLES = (
-    ("bus_toggles", "bus"),
-    ("bus_transports", "bus"),
-    ("port_toggles", "port"),
-    ("socket_transports", "port"),
-    ("fu_activations", "unit"),
-    ("rf_reads", "unit"),
-    ("rf_read_toggles", "unit"),
-    ("rf_writes", "unit"),
-    ("rf_write_toggles", "unit"),
+# The fold's tables: the trace keys whose first touch and event count it
+# replays.  Port keys are touched (toggled) but their events not counted.
+_BUS, _SOCKET, _PORT, _ACTIVATION, _RF_READ, _RF_WRITE = _TABLES = range(6)
+
+# The phases of a cycle, in the order they run.
+_LAND, _SAMPLE, _PLAIN, _TRIGGER = range(4)
+
+#: The trace's dict fields, each with its fold table and whether its
+#: values are the table's toggles (True) or its event counts.
+_FIELDS = (
+    ("bus_toggles", _BUS, True),
+    ("bus_transports", _BUS, False),
+    ("port_toggles", _PORT, True),
+    ("socket_transports", _SOCKET, False),
+    ("fu_activations", _ACTIVATION, False),
+    ("rf_reads", _RF_READ, False),
+    ("rf_read_toggles", _RF_READ, True),
+    ("rf_writes", _RF_WRITE, False),
+    ("rf_write_toggles", _RF_WRITE, True),
 )
 
 _by_unit = itemgetter(0)
@@ -235,9 +256,7 @@ class TTASimulator:
 
         # Switching-activity tracing is opt-in: when off, ``self.activity``
         # is None and the run loop skips every counting branch — it
-        # executes identically (pinned by tests) either way.  Buses, RF
-        # read paths and the fetch path hold their last value but have no
-        # execution-side register, so the simulator keeps those itself.
+        # executes identically (pinned by tests) either way.
         self.activity: ActivityTrace | None = None
         if activity:
             from repro.tta.encoding import MoveEncoder
@@ -245,8 +264,7 @@ class TTASimulator:
             self.activity = ActivityTrace(width=arch.width)
             self._words = MoveEncoder(arch).encode_program(program)
             self._last_word = 0
-            self._bus_last = [0] * arch.num_buses
-            self._tables = tuple(defaultdict(int) for _ in _TABLES)
+            self._fetch_toggles = 0
 
     # ------------------------------------------------------------------
     # inspection helpers (tests, examples)
@@ -268,7 +286,9 @@ class TTASimulator:
 
         An instruction decodes to ``(sample, plain, triggers, moves,
         halt, fetch word, checked RFs)``; the three move tuples are in
-        bus order and index the per-cycle sampled values by bus.
+        bus order and index the per-cycle sampled values by bus.  Beside
+        it, the instruction's ledger holds one ``(guarded-move id,
+        events)`` record per move for the fold.
         """
         arch = self.arch
         wmask = self._width_mask
@@ -276,18 +296,33 @@ class TTASimulator:
         pc_unit = arch.pc_unit.name
         results = self._results
         fu_index = {unit.name: i for i, unit in enumerate(self._fus)}
-        keys: dict[tuple[str, str], int] = {}   # (unit, port) -> id
-        units: dict[str, int] = {}              # unit name -> id
-        regs: list[int] = []      # FU/LSU/PC input registers, by port id
+        instructions = self.program.instructions
+        buses = max([arch.num_buses, *(len(i.slots) for i in instructions)])
+        # One slot per resource the trace names, keyed (kind, trace key):
+        # a bus (its id is its index), a (unit, port) pair, an RF's read
+        # path or write side, a unit's activations, the guard bits.
+        slots: dict[tuple, int] = {("bus", bus): bus for bus in range(buses)}
+        # Per slot: a unit input register's value, a bus's or an RF read
+        # path's last value.
+        regs: list[int] = []
+        order_span = max(buses, len(fu_index), 1)
+        lives = 0                 # guarded moves so far
+
+        def slot(kind: str, name) -> int:
+            return slots.setdefault((kind, name), len(slots))
+
+        guard_slot = slot("guard", None)
 
         def key(unit: str, port) -> int:
-            return keys.setdefault((unit, port), len(keys))
+            return slot("port", (unit, port))
 
-        def unit_id(name: str) -> int:
-            return units.setdefault(name, len(units))
+        def rank(phase: int, order: int, position: int = 0) -> int:
+            """An event's place within its cycle."""
+            return (phase * order_span + order) * 4 + position
 
         def source(move: Move, counted: set[str]) -> tuple:
-            """(storage, index, RF id, socket id) of the move's source."""
+            """(storage, index, RF read slot, socket slot) of the move's
+            source."""
             src = move.src
             if isinstance(src, Literal):
                 return (src.value & wmask,), 0, None, None
@@ -310,7 +345,10 @@ class TTASimulator:
                 words = (
                     _CountedReads(memory) if src.unit in counted else memory.words
                 )
-                return words, move.src_reg, unit_id(src.unit), key(src.unit, src.port)
+                return (
+                    words, move.src_reg, slot("read", src.unit),
+                    key(src.unit, src.port),
+                )
             fu = fu_index.get(src.unit)
             if fu is None:
                 try:
@@ -322,58 +360,63 @@ class TTASimulator:
             return results, fu, None, key(src.unit, src.port)
 
         def destination(move: Move, counted: set[str]) -> tuple:
-            """(storage, index, write mask, kind, activity id) of a plain move."""
+            """(storage, index, write mask, toggle slot, fold table) of a
+            plain move; a fault's toggle slot is never reached."""
             dst = move.dst
             if dst.unit == GUARD_UNIT:
                 try:
                     index = _guard_index_or_raise(dst.port)
                 except SimulationError as exc:
-                    return _Fault.of(exc), 0, 0, _GUARD_BIT, None
-                return self.guards, index, 1, _GUARD_BIT, None
+                    return _Fault.of(exc), 0, 0, 0, None
+                return self.guards, index, 1, guard_slot, None
             memory = self._rf.get(dst.unit)
             if memory is not None:
                 if move.dst_reg is None:
                     fault = _Fault(
                         SimulationError, f"RF write {dst} without register index"
                     )
-                    return fault, 0, 0, _RF_WORD, None
+                    return fault, 0, 0, 0, None
                 try:
                     memory.peek(move.dst_reg)
                 except (IndexError, TypeError) as exc:
-                    return _Fault.of(exc), 0, 0, _RF_WORD, None
+                    return _Fault.of(exc), 0, 0, 0, None
                 words = (
                     _CountedWrites(memory) if dst.unit in counted else memory.words
                 )
-                return words, move.dst_reg, wmask, _RF_WORD, unit_id(dst.unit)
+                return (
+                    words, move.dst_reg, wmask, slot("write", dst.unit), _RF_WRITE
+                )
             if dst.unit in fu_index:
                 port = key(dst.unit, dst.port)
-                return regs, port, wmask, _PORT, port
+                return regs, port, wmask, port, _PORT
             try:
                 arch.unit(dst.unit)
             except ArchitectureError as exc:
-                return _Fault.of(exc), 0, 0, _PORT, None
+                return _Fault.of(exc), 0, 0, 0, None
             return (
                 _Fault(SimulationError, f"{dst} is not a writable unit"),
-                0, 0, _PORT, None,
+                0, 0, 0, None,
             )
 
-        def trigger(move: Move) -> tuple:
-            """(port id, unit id, kind, operation, FU index, latency,
-            operand id) of a trigger move."""
+        def trigger(move: Move) -> tuple[tuple, int | None]:
+            """The launch record of a trigger move -- (port slot, kind,
+            operation, FU index, latency, operand slot) -- and the FU
+            index whose result register it writes, if it produces a
+            result."""
             dst = move.dst
             port = key(dst.unit, dst.port)
-            unit = unit_id(dst.unit)
             opcode = move.opcode
             if dst.unit == pc_unit:
                 if opcode != "jump":
                     fault = _Fault(
                         SimulationError, f"PC trigger with opcode {opcode!r}"
                     )
-                    return port, unit, _FU_OP, fault, 0, 0, port
-                return port, unit, _JUMP, None, 0, 0, port
+                    return (port, _FU_OP, fault, 0, 0, port), None
+                return (port, _JUMP, None, 0, 0, port), None
             fu = fu_index.get(dst.unit)
             if fu is None:
-                return port, unit, _FU_OP, _Fault(KeyError, dst.unit), 0, 0, port
+                fault = _Fault(KeyError, dst.unit)
+                return (port, _FU_OP, fault, 0, 0, port), None
             spec = self._fus[fu].spec
             if spec.kind is ComponentKind.LSU:
                 opcode = opcode or "ld"
@@ -386,10 +429,11 @@ class TTASimulator:
                     )
                 else:
                     operation = lsu_extend_function(mode, arch.width)
-                return (
-                    port, unit, _LSU_OP, operation, fu, spec.latency,
+                launch = (
+                    port, _LSU_OP, operation, fu, spec.latency,
                     key(dst.unit, "wdata"),
                 )
+                return launch, None if operation is None else fu
             if opcode is None:
                 operation = _Fault(
                     SimulationError, f"trigger on {dst.unit} without opcode"
@@ -405,10 +449,10 @@ class TTASimulator:
             operand = next(
                 (p.name for p in spec.input_ports if not p.is_trigger), None
             )
-            return (
-                port, unit, _FU_OP, operation, fu, spec.latency,
-                key(dst.unit, operand),
+            launch = (
+                port, _FU_OP, operation, fu, spec.latency, key(dst.unit, operand),
             )
+            return launch, fu
 
         self._result_ids = [
             key(unit.name, unit.spec.output_ports[0].name)
@@ -416,7 +460,8 @@ class TTASimulator:
             for unit in self._fus
         ]
         code = []
-        for pc, instruction in enumerate(self.program.instructions):
+        ledgers = []
+        for pc, instruction in enumerate(instructions):
             moves = [
                 (bus, move)
                 for bus, move in enumerate(instruction.slots)
@@ -440,29 +485,56 @@ class TTASimulator:
                 if name in counted_reads or name in counted_writes
             )
 
-            sample, plain, triggers = [], [], []
+            sample, plain, triggers, ledger = [], [], [], []
             for bus, move in moves:
                 guard = move.guard
                 dst = move.dst
+                live = None
+                if guard is not None:
+                    live, lives = lives, lives + 1
+                src, index, rf, ssock = source(move, counted_reads)
                 sample.append((
                     bus,
                     None if guard is None else guard.index,
                     guard is not None and bool(guard.invert),
-                    *source(move, counted_reads),
-                    key(dst.unit, dst.port) if dst.unit in arch.units else None,
+                    live, src, index, rf,
                 ))
+                # (fold table, slot, rank, delay in cycles)
+                events = []
+                if rf is not None:
+                    events.append((_RF_READ, rf, rank(_SAMPLE, bus, 0), 0))
+                if ssock is not None:
+                    events.append((_SOCKET, ssock, rank(_SAMPLE, bus, 1), 0))
+                events.append((_BUS, bus, rank(_SAMPLE, bus, 2), 0))
+                if dst.unit in arch.units:
+                    dsock = key(dst.unit, dst.port)
+                    events.append((_SOCKET, dsock, rank(_SAMPLE, bus, 3), 0))
+                ledger.append((live, events))
                 # The interpreter classified a move at commit time:
                 # guard and unknown-unit destinations are plain writes.
                 if dst.unit != GUARD_UNIT and dst.unit in arch.units:
                     entry = port_table.get((dst.unit, dst.port))
                     if entry is None:
                         fault = _Fault(SimulationError, f"unknown port {dst}")
-                        plain.append((bus, fault, 0, 0, _PORT, None))
+                        plain.append((bus, fault, 0, 0, 0))
                         continue
                     if entry[1].is_trigger:
-                        triggers.append((bus, *trigger(move)))
+                        launch, fu = trigger(move)
+                        triggers.append((bus, *launch))
+                        place = rank(_TRIGGER, bus)
+                        events.append((_PORT, launch[0], place, 0))
+                        events.append((_ACTIVATION, slot("unit", dst.unit), place, 0))
+                        result = None if fu is None else self._result_ids[fu]
+                        if result is not None:
+                            # The result lands ``latency`` cycles later.
+                            events.append(
+                                (_PORT, result, rank(_LAND, fu), launch[4])
+                            )
                         continue
-                plain.append((bus, *destination(move, counted_writes)))
+                *target, table = destination(move, counted_writes)
+                plain.append((bus, *target))
+                if table is not None:
+                    events.append((table, target[3], rank(_PLAIN, bus), 0))
             code.append((
                 tuple(sample),
                 tuple(plain),
@@ -472,23 +544,36 @@ class TTASimulator:
                 self._words[pc] if self.activity is not None else 0,
                 checked or None,
             ))
+            ledgers.append(tuple(ledger))
 
-        regs.extend([0] * len(keys))
+        regs.extend([0] * len(slots))
         self._regs = regs
-        self._keys = list(keys)
-        self._units = list(units)
-        self._values = [None] * max(
-            (len(i.slots) for i in self.program.instructions), default=0
-        )
+        self._values = [None] * buses
         if self.activity is not None:
-            self._rf_last = [0] * len(units)
+            self._ledgers = ledgers
+            self._slot_keys = [name for _kind, name in slots]
+            self._guard_slot = guard_slot
+            self._span = rank(_TRIGGER + 1, 0)
+            self._toggles = [0] * len(slots)
+            self._execs = [0] * len(code)      # per instruction
+            self._firsts = [0] * len(code)     # cycle of its first execution
+            self._lives = [0] * lives          # unsquashed, per guarded move
+            self._live_firsts = [0] * lives    # cycle of its first one
         return code
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 1_000_000) -> SimResult:
-        """Run until halt, program end, or the cycle budget expires."""
+        """Run until halt, program end, or the cycle budget expires.
+
+        Runs resume: a later ``run`` continues where this one stopped,
+        and a traced run leaves :attr:`activity` holding every run so
+        far.  A run that raises leaves the simulator in the faulting
+        cycle, with ``cycle`` and ``pc`` naming it, and leaves
+        :attr:`activity` as the previous run left it (empty after a
+        first run): the raising run's activity is not folded in.
+        """
         if self._code is None:
             self._code = self._decode()
         code = self._code
@@ -501,20 +586,15 @@ class TTASimulator:
         dmem = self.dmem
         values = self._values      # sampled value per bus; None: squashed
         wmask = self._width_mask
-        act = self.activity
-        traced = act is not None
+        traced = self.activity is not None
         if traced:
-            (
-                bus_toggles, bus_transports, port_toggles, sockets,
-                activations, rf_reads, rf_read_toggles, rf_writes,
-                rf_write_toggles,
-            ) = self._tables
-            bus_last = self._bus_last
-            rf_last = self._rf_last
+            toggles = self._toggles
+            execs = self._execs
+            firsts = self._firsts
+            lives = self._lives
+            live_firsts = self._live_firsts
             last_word = self._last_word
-            fetched = act.fetch_words
-            fetch_toggles = act.fetch_toggles
-            guard_toggles = act.guard_toggles
+            fetch_toggles = self._fetch_toggles
         cycle = self.cycle
         pc = self.pc
         pending = self._pending_jump
@@ -529,7 +609,10 @@ class TTASimulator:
                     break
                 sample, plain, launches, moves, halt, word, checked = code[pc]
                 if traced:
-                    fetched += 1
+                    runs = execs[pc]
+                    if not runs:
+                        firsts[pc] = cycle
+                    execs[pc] = runs + 1
                     fetch_toggles += (last_word ^ word).bit_count()
                     last_word = word
 
@@ -542,7 +625,7 @@ class TTASimulator:
                         port = result_ids[fu]
                         if traced and port is not None:
                             old = results[fu] or 0    # None: never written
-                            port_toggles[port] += (old ^ value).bit_count()
+                            toggles[port] += (old ^ value).bit_count()
                         results[fu] = value
                 if checked is not None:
                     for memory in checked:
@@ -551,7 +634,7 @@ class TTASimulator:
                 # Sample phase (one bus slot per move; squashed moves
                 # drive no bus).
                 issued += moves
-                for bus, guard, invert, src, index, rf, ssock, dsock in sample:
+                for bus, guard, invert, live, src, index, rf in sample:
                     if guard is not None and (not guards[guard]) is not invert:
                         values[bus] = None
                         squashed += 1
@@ -564,44 +647,35 @@ class TTASimulator:
                         )
                     values[bus] = value
                     if traced:
+                        if live is not None:
+                            runs = lives[live]
+                            if not runs:
+                                live_firsts[live] = cycle
+                            lives[live] = runs + 1
                         if rf is not None:
-                            rf_reads[rf] += 1
-                            rf_read_toggles[rf] += (rf_last[rf] ^ value).bit_count()
-                            rf_last[rf] = value
-                        if ssock is not None:
-                            sockets[ssock] += 1
-                        bus_toggles[bus] += (bus_last[bus] ^ value).bit_count()
-                        bus_transports[bus] += 1
-                        bus_last[bus] = value
-                        if dsock is not None:
-                            sockets[dsock] += 1
+                            toggles[rf] += (regs[rf] ^ value).bit_count()
+                            regs[rf] = value
+                        toggles[bus] += (regs[bus] ^ value).bit_count()
+                        regs[bus] = value
 
                 # Commit phase: operands first, then triggers see fresh
                 # operands.
-                for bus, dst, index, dmask, kind, aid in plain:
+                for bus, dst, index, dmask, toggled in plain:
                     value = values[bus]
                     if value is None:
                         continue
                     new = value & dmask
                     if traced:
-                        old = dst[index]
-                        if kind == _PORT:
-                            port_toggles[aid] += (old ^ new).bit_count()
-                        elif kind == _RF_WORD:
-                            rf_writes[aid] += 1
-                            rf_write_toggles[aid] += (old ^ new).bit_count()
-                        else:
-                            guard_toggles += ((old & 1) ^ new).bit_count()
+                        toggles[toggled] += (dst[index] ^ new).bit_count()
                     dst[index] = new
-                for bus, port, unit, kind, operation, fu, latency, operand in launches:
+                for bus, port, kind, operation, fu, latency, operand in launches:
                     value = values[bus]
                     if value is None:
                         continue
                     triggers += 1
                     new = value & wmask
                     if traced:
-                        port_toggles[port] += (regs[port] ^ new).bit_count()
-                        activations[unit] += 1
+                        toggles[port] += (regs[port] ^ new).bit_count()
                     regs[port] = new
                     if kind == _FU_OP:
                         result = operation(regs[operand], new)
@@ -644,13 +718,10 @@ class TTASimulator:
             self._pending_jump = pending
             if traced:
                 self._last_word = last_word
-                act.fetch_words = fetched
-                act.fetch_toggles = fetch_toggles
-                act.guard_toggles = guard_toggles
-                self._fold_activity()
+                self._fetch_toggles = fetch_toggles
 
         if traced:
-            act.cycles = cycle
+            self._fold_activity()
         return SimResult(
             cycles=cycle,
             halted=halted,
@@ -661,19 +732,54 @@ class TTASimulator:
         )
 
     def _fold_activity(self) -> None:
-        """Refill the trace's dicts from the working tables.
+        """Refill the trace from the execution counts and toggle slots.
 
-        A working table is a dict keyed by id, so its iteration order is
-        the order of each key's first event; the trace keeps that order.
+        Each ledger event adds its move's unsquashed count to its key
+        and stamps the key's first touch (see the module docstring); a
+        trace dict lists its keys in stamp order.
         """
-        names = {"port": self._keys, "unit": self._units}
-        for (field, space), table in zip(_TABLES, self._tables):
-            target = getattr(self.activity, field)
+        act = self.activity
+        execs = self._execs
+        firsts = self._firsts
+        lives = self._lives
+        live_firsts = self._live_firsts
+        span = self._span
+        cycles = self.cycle
+        stamps = [{} for _ in _TABLES]    # per table: slot -> first stamp
+        counts = [{} for _ in _TABLES]    # per table: slot -> events
+        for pc, ledger in enumerate(self._ledgers):
+            runs = execs[pc]
+            if not runs:
+                continue
+            for live, events in ledger:
+                if live is None:
+                    n, at = runs, firsts[pc]
+                else:
+                    n = lives[live]
+                    if not n:
+                        continue
+                    at = live_firsts[live]
+                for table, slot, rank, delay in events:
+                    if at + delay >= cycles:
+                        continue            # a result still in flight
+                    stamp = (at + delay) * span + rank
+                    first = stamps[table]
+                    if stamp < first.get(slot, stamp + 1):
+                        first[slot] = stamp
+                    tally = counts[table]
+                    tally[slot] = tally.get(slot, 0) + n
+        names = self._slot_keys
+        toggles = self._toggles
+        order = [sorted(first, key=first.__getitem__) for first in stamps]
+        for field, table, toggled in _FIELDS:
+            values = toggles if toggled else counts[table]
+            target = getattr(act, field)
             target.clear()
-            if space == "bus":
-                target.update(table)
-            else:
-                target.update((names[space][i], n) for i, n in table.items())
+            target.update((names[slot], values[slot]) for slot in order[table])
+        act.guard_toggles = toggles[self._guard_slot]
+        act.fetch_words = sum(execs)
+        act.fetch_toggles = self._fetch_toggles
+        act.cycles = cycles
 
 
 def _guard_index_or_raise(port: str) -> int:

@@ -16,6 +16,11 @@ import json
 
 __all__ = ["canonical_json", "content_digest"]
 
+# ``json.dumps`` with these options builds the same encoder on every
+# call; one shared encoder (it keeps no state between calls) writes the
+# same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(obj) -> str:
     """The unique JSON text of a JSON-safe object.
@@ -23,7 +28,7 @@ def canonical_json(obj) -> str:
     Keys sorted, no whitespace: two equal payloads serialise to the
     same string regardless of dict insertion order.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def content_digest(obj) -> str:

@@ -68,6 +68,37 @@ def test_cache_key_stable_and_distinct():
     )
 
 
+def test_canonical_json_is_json_dumps():
+    """``canonical_json`` writes what ``json.dumps`` with the canonical
+    options writes, byte for byte, so cache file names and spec ids
+    do not depend on how the text is produced."""
+    import hashlib
+
+    from repro.campaign.cache import _SCHEMA
+    from repro.util.digest import canonical_json
+
+    config = space_by_name("crypt")[5]
+    key_payload = {
+        "schema": _SCHEMA, "workload": "crypt", "width": 16,
+        "config": config.to_dict(),
+    }
+    payloads = [
+        key_payload,
+        _spec(workloads=("crypt", "gcd"), space="crypt").to_dict(),
+        {"b": [0.1, -0.0, 1e-300, 2.5e16, float("inf"), 3], "a": None},
+        {"Zürich": "naïve ✓ 日本", "ascii": True, "empty": [{}, []]},
+        "plain text", 7, None,
+    ]
+    for payload in payloads:
+        assert canonical_json(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        )
+    digest = hashlib.sha256(
+        json.dumps(key_payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    assert cache_key("crypt", config, 16) == digest
+
+
 def test_cache_miss_then_hit(tmp_path):
     from repro.explore import EvaluatedPoint
 

@@ -49,9 +49,16 @@ def _items(value):
     return list(value.items()) if isinstance(value, dict) else value
 
 
+def _trace(trace: ActivityTrace | None) -> list | None:
+    """Every trace field, dicts as ordered item lists."""
+    return None if trace is None else [
+        (f.name, _items(getattr(trace, f.name)))
+        for f in dataclasses.fields(ActivityTrace)
+    ]
+
+
 def _snapshot(sim, result) -> dict:
     """Everything a run leaves behind, dicts as ordered item lists."""
-    trace = sim.activity
     return {
         "result": dataclasses.astuple(result),
         "pc": sim.pc,
@@ -61,10 +68,7 @@ def _snapshot(sim, result) -> dict:
         ],
         "dmem": _items(sim.dmem),
         "guards": sim.guards,
-        "trace": None if trace is None else [
-            (f.name, _items(getattr(trace, f.name)))
-            for f in dataclasses.fields(ActivityTrace)
-        ],
+        "trace": _trace(sim.activity),
     }
 
 
@@ -272,6 +276,32 @@ def test_fault_raises_like_oracle(fault, activity):
     assert isinstance(outcomes["after halt"], dict)
 
 
+def test_raised_run_folds_nothing():
+    """A traced run that raises leaves ``activity`` as the runs before it
+    left it (empty before the first) and stops in the faulting cycle,
+    as :meth:`TTASimulator.run` documents: the faulting run's activity
+    is not folded in.  The oracle records events up to the faulting
+    move, so it cannot serve here."""
+    empty = _trace(ActivityTrace(width=FAULT_ARCH.width))
+    raised = 0
+    for fault, (moves, error, _message) in FAULTS.items():
+        program = _fault_program(moves, "runs")
+        try:
+            first = TTASimulator(FAULT_ARCH, program, activity=True)
+        except EncodingError:
+            continue                    # rejected before any run
+        resumed = TTASimulator(FAULT_ARCH, program, activity=True)
+        resumed.run(max_cycles=1)       # the prologue
+        prologue = _trace(resumed.activity)
+        for sim, before in ((first, empty), (resumed, prologue)):
+            with pytest.raises(error):
+                sim.run(max_cycles=100)
+            assert (sim.cycle, sim.pc) == (1, 1), fault
+            assert _trace(sim.activity) == before, fault
+        raised += 1
+    assert raised >= 5
+
+
 @pytest.mark.parametrize("activity", [False, True])
 @pytest.mark.parametrize("target", range(3, 9))
 def test_jump_targets_wrap_like_oracle(target, activity):
@@ -319,3 +349,121 @@ def test_split_runs_match_oracle(workload, label, activity):
         shipped, oracle = legs
         assert shipped == oracle, f"split at {k}"
         assert shipped[1]["result"][1], "the second leg halts"
+
+
+# ----------------------------------------------------------------------
+# the traced fold: first touches and counts the replay must reconstruct
+# ----------------------------------------------------------------------
+#: FAULT_ARCH with two read ports on its RF: one instruction reads it twice.
+TWO_READ_ARCH = make_arch(3, width=32, rf_setups=((4, 2, 1),), with_mul=True)
+
+
+def _legs_match_oracle(program: Program, arch=FAULT_ARCH) -> None:
+    """Traced, both simulators leave the same snapshot after every leg of
+    every split: ``run(max_cycles=k)`` for each k up to one past the
+    halt, then ``run()`` twice (each re-run executes the halting
+    instruction again)."""
+    cycles = TTASimulator(arch, program).run(max_cycles=50).cycles
+    for k in range(1, cycles + 2):
+        legs = []
+        for simulator in (TTASimulator, oracles.TTASimulator):
+            sim = simulator(arch, program, activity=True)
+            legs.append([
+                _snapshot(sim, sim.run(max_cycles=limit)) for limit in (k, 50, 50)
+            ])
+        shipped, oracle = legs
+        assert shipped == oracle, f"split at {k}"
+
+
+@pytest.mark.parametrize("invert", [False, True])
+def test_guarded_move_live_after_a_squash(invert):
+    """A guarded move squashed the first time its instruction runs and
+    live the second time first touches its keys in the later cycle."""
+    live = 0 if invert else 1          # the g1 value the moves run on
+    guard = Guard(1, invert=invert)
+    program = _program(
+        "guarded",
+        ([_move(1 - live, "guard.g1")], False),
+        # jump back once (g2 is clear only the first time), and a
+        # guarded operand and trigger
+        ([_move(1, "pc.target", opcode="jump", guard=Guard(2, invert=True)),
+          _move(6, "mul0.a", guard=guard),
+          _move(7, "mul0.b", opcode="mul", guard=guard)], False),
+        # the delay slot
+        ([_move(live, "guard.g1"), _move(1, "guard.g2"),
+          _move(5, "alu0.b", opcode="add")], False),
+        ([], True),
+    )
+    _legs_match_oracle(program)
+
+
+def test_result_in_flight_at_halt():
+    """Results still in flight when the program halts have not landed:
+    their result ports stay out of the trace until a re-run reaches
+    their due cycle."""
+    program = _program(
+        "in flight at halt",
+        ([_move(3, "mul0.a"), _move(4, "mul0.b", opcode="mul")], False),
+        ([_move(5, "lsu0.addr", opcode="ld")], True),
+    )
+    _legs_match_oracle(program)
+
+
+def test_result_in_flight_at_a_cut():
+    """A run cut by ``max_cycles`` with latency-2 results in flight, then
+    resumed: each lands, and first touches its port, in the later leg."""
+    program = _program(
+        "in flight at a cut",
+        ([_move(3, "mul0.a"), _move(4, "mul0.b", opcode="mul")], False),
+        ([_move(6, "lsu0.addr", opcode="ld"),
+          _move(1, "alu0.a"), _move(2, "alu0.b", opcode="add")], False),
+        ([_move("mul0.y", "rf0.w0", dst_reg=0)], False),
+        ([_move("lsu0.rdata", "rf0.w0", dst_reg=1)], False),
+        ([], True),
+    )
+    _legs_match_oracle(program)
+
+
+def test_two_reads_of_one_rf_in_one_instruction():
+    """Two reads of one RF in one instruction, through two ports and
+    through one: two reads each, and the read path toggles between
+    them in bus order."""
+    program = _program(
+        "two reads",
+        ([_move(1, "rf0.w0", dst_reg=1)], False),
+        ([_move(2, "rf0.w0", dst_reg=2)], False),
+        ([_move("rf0.r0", "mul0.a", src_reg=1),
+          _move("rf0.r1", "mul0.b", src_reg=2, opcode="mul")], False),
+        ([_move("rf0.r0", "alu0.a", src_reg=2),
+          _move("rf0.r0", "alu0.b", src_reg=1, opcode="add")], True),
+    )
+    _legs_match_oracle(program, TWO_READ_ARCH)
+
+
+#: Where the crypt run is cut: its first cycles; cycles 5, 7, 41, 42 and
+#: 150, which (at this schedule) each leave a unit's first result in
+#: flight; and cycles inside its loops.
+CRYPT_SPLITS = (1, 2, 3, 5, 7, 41, 42, 150, 331, 4096)
+
+
+def test_crypt_split_runs_match_oracle():
+    """crypt cut by ``max_cycles`` at a handful of cycles, then run to its
+    halt: the cut leaves the oracle's snapshot at that cycle, and the
+    resumed run the oracle's whole run, its result counting only its
+    own moves."""
+    config = next(c for c in space_by_name("crypt") if c.label() == CRYPT_CONFIGS[0])
+    point = _context("crypt", 8).evaluate(config, keep_compile_result=True)
+    program = point.compile_result.program
+    arch = build_architecture_cached(config, 8)
+    whole = oracles.TTASimulator(arch, program, activity=True)
+    done = _snapshot(whole, whole.run(max_cycles=MAX_CYCLES))
+    for k in CRYPT_SPLITS:
+        oracle = oracles.TTASimulator(arch, program, activity=True)
+        cut = _snapshot(oracle, oracle.run(max_cycles=k))
+        sim = TTASimulator(arch, program, activity=True)
+        assert _snapshot(sim, sim.run(max_cycles=k)) == cut, f"cut at {k}"
+        counts = [a - b for a, b in zip(done["result"][3:], cut["result"][3:])]
+        resumed = dict(done, result=(*done["result"][:3], *counts))
+        assert _snapshot(sim, sim.run(max_cycles=MAX_CYCLES)) == resumed, (
+            f"resumed after {k}"
+        )
