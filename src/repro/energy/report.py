@@ -177,9 +177,12 @@ def energy_report(
 
     ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) times the
     activity-traced simulation as the ``simulate`` phase (program
-    encoding and decoding included), counts its cycles as
-    ``sim_cycles`` and times the model fold as ``energy_model``; the
-    default records nothing.
+    encoding, decoding and the generation of any hot block's code
+    included), counts its cycles as ``sim_cycles``, the blocks it
+    compiled as ``sim_compiled_blocks`` and the cycles those ran as
+    ``sim_compiled_cycles``, observes its code-generation seconds into
+    the ``sim_codegen_seconds`` histogram and times the model fold as
+    ``energy_model``; the default records nothing.
     """
     from repro.energy.model import technology_by_name
 
@@ -189,6 +192,9 @@ def energy_report(
         sim = TTASimulator(arch, program, activity=True)
         result = sim.run(max_cycles=max_cycles)
     metrics.count("sim_cycles", result.cycles)
+    metrics.count("sim_compiled_blocks", sim.compiled_blocks)
+    metrics.count("sim_compiled_cycles", sim.compiled_cycles)
+    metrics.observe("sim_codegen_seconds", sim.codegen_seconds)
     if not result.halted:
         raise ValueError(
             f"{program.name} on {arch.name}: no halt within "

@@ -33,7 +33,12 @@ the toggles, into lists indexed by resource — plus how often each
 instruction and each guarded move ran.  The event counts follow from the
 schedule: when a run returns, each move's static transports, accesses
 and activations are multiplied by its execution count, and every dict
-is rebuilt in first-touch order (see :mod:`repro.tta.simulator`).
+is rebuilt in first-touch order (see :mod:`repro.tta.simulator`).  A hot
+block that runs as generated code folds further: an entry counts as one
+execution of each of its instructions, its toggles are summed in locals
+(a toggle between two constants while the code is generated), and its
+fetch toggles are the toggle into its first word, computed per entry,
+plus the constant toggles between its own words.
 """
 
 from __future__ import annotations

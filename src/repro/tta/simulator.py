@@ -63,6 +63,35 @@ land in unit order (the architecture's order of FU/LSU units).
 ``tests/test_simulator_oracle.py`` pins results, state and every trace,
 key order included, against the two-pass interpreter that
 ``tests/oracles.py`` keeps as the reference.
+
+The simulator has two tiers.  The interpreter above runs everything; a
+hot *block* also runs as one generated Python function
+(:mod:`repro.tta.blockgen`).  A block starts at a leader -- a literal
+jump's target or the pc after a jump's delay slot -- and runs through
+its one jump's delay slot; it qualifies if it reaches no other leader
+first and holds no halt, no port-counted RF, no decoded fault and no
+guard index outside the guard file.  Decoding marks the instructions
+after which control may enter a block (delay slots, and instructions
+before a jump target); there, and when a run starts, the interpreter
+looks the pc up.  It counts a qualifying block's interpreted entries,
+and once entries times length reaches :data:`HOT_BLOCK_INSTRUCTIONS` it
+generates the block's function (importing the generator then, not
+before).  Every later entry with no jump pending whose whole block fits
+in the cycle budget runs the function; cold blocks, ``max_cycles`` cuts
+and resumes inside a block stay interpreted.  The generated code runs
+each cycle in the interpreter's order and keeps unit input registers,
+bus and RF read-path last values, result registers and toggle tallies
+in locals, loaded on entry and written back on exit; a result landing
+inside the block is assigned directly, one crossing its edge goes
+through ``due``.  A compiled entry counts as one execution of each of
+the block's instructions (added to the counts lazily, when a run
+returns), and its fetch toggles are the entry's toggle from the last
+fetched word plus the block's static inner sum.  A raise inside
+generated code (an eq. 3 read, an LSU address out of range) leaves the
+simulator as the interpreter leaves it: the same error at the same
+``cycle`` and ``pc``, every register, memory word, result register and
+count of that point, the pending jump and the results in flight, and
+``activity`` unfolded.
 """
 
 from __future__ import annotations
@@ -70,6 +99,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from time import perf_counter
 
 from repro.components.reference import (
     ALU_OPS,
@@ -96,6 +126,10 @@ BRANCH_DELAY_SLOTS = 1
 #: Data-memory size in words; every LSU address must fall below it.
 DMEM_WORDS = 65536
 
+#: A qualifying block is compiled once its interpreted entries times its
+#: length reach this many instruction executions.
+HOT_BLOCK_INSTRUCTIONS = 2048
+
 #: LSU opcode -> read-extension mode.
 _LSU_MODE = {
     "ld": "word",
@@ -113,6 +147,10 @@ _BUS, _SOCKET, _PORT, _ACTIVATION, _RF_READ, _RF_WRITE = _TABLES = range(6)
 
 # The phases of a cycle, in the order they run.
 _LAND, _SAMPLE, _PLAIN, _TRIGGER = range(4)
+
+# An instruction's ``stop``: it halts, or control may enter a block after
+# it (it is a jump's delay slot, or the next pc is a jump target).
+_HALT, _BOUNDARY = 1, 2
 
 #: The trace's dict fields, each with its fold table and whether its
 #: values are the table's toggles (True) or its event counts.
@@ -204,6 +242,27 @@ class _CountedWrites:
         self.memory.write(reg, value)
 
 
+class _Block:
+    """A straight-line block: from an entry pc through its one jump's
+    delay slot, with no halt, no port-counted RF and no decoded fault."""
+
+    __slots__ = (
+        "entry", "length", "moves", "entries", "step", "calls", "folded",
+        "cold", "word", "last_word", "inner", "stop",
+    )
+
+    def __init__(self, entry: int, length: int, moves: int) -> None:
+        self.entry = entry
+        self.length = length
+        self.moves = moves            # issued per entry
+        self.entries = 0              # interpreted entries before compiling
+        self.step = None              # the generated function, once hot
+        self.calls = 0                # compiled entries
+        self.folded = 0               # compiled entries in the exec counts
+        self.cold = False             # an instruction may not have run yet
+        self.stop = [None]            # (offset, jump target) of a fault
+
+
 def _fu_operation(opcode: str, width: int) -> Operation | None:
     """The reference function an FU runs for ``opcode``, if it has one."""
     if opcode in ALU_OPS or opcode in SHIFTER_OPS:
@@ -253,6 +312,9 @@ class TTASimulator:
         self.cycle = 0
         self._pending_jump: tuple[int, int] | None = None
         self._code: list[tuple] | None = None   # decoded on the first run()
+        self._compiled: list[_Block] = []      # blocks with generated code
+        #: Seconds spent generating block functions, over every run so far.
+        self.codegen_seconds = 0.0
 
         # Switching-activity tracing is opt-in: when off, ``self.activity``
         # is None and the run loop skips every counting branch — it
@@ -285,10 +347,11 @@ class TTASimulator:
         """Resolve every instruction once (see the module docstring).
 
         An instruction decodes to ``(sample, plain, triggers, moves,
-        halt, fetch word, checked RFs)``; the three move tuples are in
-        bus order and index the per-cycle sampled values by bus.  Beside
-        it, the instruction's ledger holds one ``(guarded-move id,
-        events)`` record per move for the fold.
+        stop, fetch word, checked RFs)``; the three move tuples are in
+        bus order and index the per-cycle sampled values by bus, and
+        ``stop`` is None, ``_HALT`` or ``_BOUNDARY``.  Beside it, the
+        instruction's ledger holds one ``(guarded-move id, events)``
+        record per move for the fold.
         """
         arch = self.arch
         wmask = self._width_mask
@@ -540,11 +603,12 @@ class TTASimulator:
                 tuple(plain),
                 tuple(triggers),
                 len(moves),
-                instruction.halt,
+                _HALT if instruction.halt else None,
                 self._words[pc] if self.activity is not None else 0,
                 checked or None,
             ))
             ledgers.append(tuple(ledger))
+        self._blocks = self._find_blocks(code)
 
         regs.extend([0] * len(slots))
         self._regs = regs
@@ -560,6 +624,63 @@ class TTASimulator:
             self._lives = [0] * lives          # unsquashed, per guarded move
             self._live_firsts = [0] * lives    # cycle of its first one
         return code
+
+    def _find_blocks(self, code: list[tuple]) -> list[_Block | None]:
+        """Mark each instruction's ``stop`` in ``code`` and return the
+        qualifying block entered at each pc (None elsewhere).
+
+        A block starts at a leader -- a literal jump's target or the pc
+        after a delay slot -- and runs through its one jump's delay slot;
+        it does not qualify if it reaches another leader first, or holds a
+        halt, a port-counted RF, a decoded fault or a guard index outside
+        the guard file.
+        """
+        end = len(code)
+        guards = self.guards
+        jumps = set()       # pcs of the instructions with a jump trigger
+        leaders = set()
+        plain = []          # per pc: could run inside a block
+        for pc, (sample, commits, launches, _moves, stop, _word, checked) in (
+            enumerate(code)
+        ):
+            fine = stop is None and checked is None
+            for _bus, guard, _invert, _live, src, index, _rf in sample:
+                fine = fine and not isinstance(src, _Fault) and (
+                    guard is None or 0 <= guard < len(guards)
+                ) and (src is not guards or index < len(guards))
+            for _bus, dst, index, _dmask, _slot in commits:
+                fine = fine and not isinstance(dst, _Fault) and (
+                    dst is not guards or index < len(guards)
+                )
+            for bus, _port, kind, operation, *_rest in launches:
+                fine = fine and not isinstance(operation, _Fault)
+                if kind == _JUMP:
+                    jumps.add(pc)
+                    src, index = next(
+                        (s[4], s[5]) for s in sample if s[0] == bus
+                    )
+                    if type(src) is tuple:        # a literal target
+                        leaders.add(src[index] % (end + 1))
+            plain.append(fine)
+        for pc in jumps:
+            leaders.add(pc + 2)
+        for pc in range(end):
+            if code[pc][4] is None and (pc - 1 in jumps or pc + 1 in leaders):
+                code[pc] = (*code[pc][:4], _BOUNDARY, *code[pc][5:])
+        blocks: list[_Block | None] = [None] * (end + 1)
+        for entry in leaders:
+            pc = entry
+            while pc < end and pc not in jumps and plain[pc] and (
+                pc + 1 not in leaders
+            ):
+                pc += 1
+            slot = pc + 1             # the delay slot
+            if pc in jumps and slot < end and slot not in jumps and all(
+                plain[entry:slot + 1]
+            ):
+                moves = sum(code[p][3] for p in range(entry, slot + 1))
+                blocks[entry] = _Block(entry, slot + 1 - entry, moves)
+        return blocks
 
     # ------------------------------------------------------------------
     # execution
@@ -587,6 +708,7 @@ class TTASimulator:
         values = self._values      # sampled value per bus; None: squashed
         wmask = self._width_mask
         traced = self.activity is not None
+        last_word = fetch_toggles = 0
         if traced:
             toggles = self._toggles
             execs = self._execs
@@ -598,16 +720,54 @@ class TTASimulator:
         cycle = self.cycle
         pc = self.pc
         pending = self._pending_jump
+        blocks = self._blocks
         issued = squashed = triggers = 0
         halted = False
         reason = "end-of-program"
+        boundary = True            # control may enter a block at ``pc``
 
         try:
             while cycle < max_cycles:
+                if boundary:
+                    boundary = False
+                    block = blocks[pc]
+                    if block is not None and pending is None:
+                        step = block.step
+                        if step is None and (
+                            block.entries * block.length >= HOT_BLOCK_INSTRUCTIONS
+                        ):
+                            step = self._compile(block)
+                        if step is None:
+                            block.entries += 1
+                        elif cycle + block.length <= max_cycles:
+                            try:
+                                pc, dropped, fired = step(cycle)
+                            except SimulationError:
+                                cycle, pc, pending, last_word, fetch_toggles = (
+                                    self._unwind(
+                                        block, cycle, last_word, fetch_toggles
+                                    )
+                                )
+                                raise
+                            if traced:
+                                fetch_toggles += block.inner + (
+                                    (last_word ^ block.word).bit_count()
+                                )
+                                last_word = block.last_word
+                                if block.cold:
+                                    self._first_runs(block, cycle, block.length)
+                                    block.folded += 1
+                            block.calls += 1
+                            cycle += block.length
+                            issued += block.moves
+                            squashed += dropped
+                            triggers += fired
+                            boundary = True
+                            continue
                 if not 0 <= pc < end:
                     halted = True
                     break
-                sample, plain, launches, moves, halt, word, checked = code[pc]
+                sample, plain, launches, moves, stop, word, checked = code[pc]
                 if traced:
                     runs = execs[pc]
                     if not runs:
@@ -699,11 +859,13 @@ class TTASimulator:
                     else:
                         queued.append((fu, result))
 
-                if halt:
-                    reason = "halt"
-                    halted = True
-                    cycle += 1
-                    break
+                if stop is not None:
+                    if stop == _HALT:
+                        reason = "halt"
+                        halted = True
+                        cycle += 1
+                        break
+                    boundary = True
                 if pending is not None and cycle >= pending[0]:
                     pc = pending[1]
                     pending = None
@@ -721,6 +883,7 @@ class TTASimulator:
                 self._fetch_toggles = fetch_toggles
 
         if traced:
+            self._fold_runs()
             self._fold_activity()
         return SimResult(
             cycles=cycle,
@@ -730,6 +893,86 @@ class TTASimulator:
             moves_squashed=squashed,
             triggers=triggers,
         )
+
+    # ------------------------------------------------------------------
+    # the compiled tier
+    # ------------------------------------------------------------------
+    def _compile(self, block: _Block):
+        """Generate ``block``'s function (the code generator is imported
+        only when a first block gets hot)."""
+        from repro.tta.blockgen import compile_block
+
+        started = perf_counter()
+        block.step = compile_block(self, block)
+        self.codegen_seconds += perf_counter() - started
+        self._compiled.append(block)
+        if self.activity is not None:
+            words = self._fetched(block, block.length)
+            block.word = words[0]
+            block.last_word = words[-1]
+            block.inner = sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
+            block.cold = not all(self._execs[block.entry:block.entry + block.length])
+        return block.step
+
+    @property
+    def compiled_blocks(self) -> int:
+        """How many blocks this simulator has compiled."""
+        return len(self._compiled)
+
+    @property
+    def compiled_cycles(self) -> int:
+        """Cycles run by generated code, over every run so far."""
+        return sum(block.calls * block.length for block in self._compiled)
+
+    def _first_runs(self, block: _Block, cycle: int, count: int) -> None:
+        """Count an entry at ``cycle`` that ran the block's first ``count``
+        instructions in the exec counts, stamping any first execution."""
+        execs = self._execs
+        firsts = self._firsts
+        for offset in range(count):
+            pc = block.entry + offset
+            if not execs[pc]:
+                firsts[pc] = cycle + offset
+            execs[pc] += 1
+        block.cold = not all(execs[block.entry:block.entry + block.length])
+
+    def _fold_runs(self) -> None:
+        """Add the compiled entries not yet counted to the exec counts."""
+        execs = self._execs
+        for block in self._compiled:
+            runs = block.calls - block.folded
+            if runs:
+                for pc in range(block.entry, block.entry + block.length):
+                    execs[pc] += runs
+                block.folded = block.calls
+
+    def _unwind(self, block: _Block, cycle: int, last_word: int, fetch_toggles: int):
+        """Leave the counts of a compiled entry at ``cycle`` that raised as
+        the interpreter leaves them; return the run's new cycle, pc,
+        pending jump, last fetched word and fetch toggles.
+
+        The generated code has already written its locals back and queued
+        its in-flight results; ``block.stop[0]`` names the faulting offset
+        and, if the jump had committed, its target.
+        """
+        offset, target = block.stop[0]
+        pending = None
+        if target is not None:
+            pending = (cycle + block.length - 1, target)
+        if self.activity is not None:
+            self._fold_runs()
+            words = self._fetched(block, offset + 1)
+            fetch_toggles += sum(
+                (a ^ b).bit_count() for a, b in zip([last_word, *words], words)
+            )
+            last_word = words[-1]
+            self._first_runs(block, cycle, offset + 1)
+        pc = block.entry + offset
+        return cycle + offset, pc, pending, last_word, fetch_toggles
+
+    def _fetched(self, block: _Block, count: int) -> list[int]:
+        """The words of the block's first ``count`` instructions."""
+        return [self._code[pc][5] for pc in range(block.entry, block.entry + count)]
 
     def _fold_activity(self) -> None:
         """Refill the trace from the execution counts and toggle slots.

@@ -1,12 +1,15 @@
 """The shipped simulator against the oracle on a workload x config grid.
 
 Runs :func:`tests.test_simulator_oracle._check` -- compile the workload
-onto each configuration, then compare the shipped simulator's result,
-final state and activity trace with the oracle's -- over every
-workload x space configuration x width x tracing mode asked for.
-Infeasible points are skipped.  It prints the run count and exits 1 on
-the first mismatch.  The name does not match ``test_*.py``, so the test
-suite does not collect it.
+onto each configuration, run the oracle once, then compare the shipped
+simulator's result, final state and activity trace with the oracle's,
+once under the default block-compilation rule and once with every
+qualifying block compiled from its first entry -- over every workload x
+space configuration x width x tracing mode asked for.  Infeasible points
+are skipped.  Per workload it prints the run count and the host seconds
+of each tracing mode: the shipped simulator's under each rule, and the
+oracle's.  It exits 1 on the first mismatch.  The name does not match
+``test_*.py``, so the test suite does not collect it.
 
 From the repository root::
 
@@ -15,8 +18,8 @@ From the repository root::
 
 With no options it runs the whole corpus: every workload on every
 ``small``, ``dsp`` and ``crypt`` configuration at widths 8 and 16,
-tracing off and on (3,168 feasible runs; most of the time goes into the
-oracle).
+tracing off and on (3,168 feasible points, each compared twice; most of
+the time goes into the oracle).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro.apps.registry import workload_names  # noqa: E402
 from repro.explore.space import space_by_name  # noqa: E402
 
-from tests.test_simulator_oracle import _check  # noqa: E402
+from tests.test_simulator_oracle import DEFAULT, FORCED, _check  # noqa: E402
 
 
 def _names(text: str) -> list[str]:
@@ -55,12 +58,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     runs = skipped = 0
     for workload in args.workloads:
+        times = {activity: {} for activity in modes}
         for space in args.spaces:
             for config in space_by_name(space):
                 for width in args.widths:
                     for activity in modes:
                         try:
-                            compared = _check(workload, config, width, activity)
+                            compared = _check(
+                                workload, config, width, activity,
+                                rules=(DEFAULT, FORCED), times=times[activity],
+                            )
                         except AssertionError as exc:
                             print(f"MISMATCH after {runs} runs: {exc}")
                             return 1
@@ -71,7 +78,19 @@ def main(argv=None) -> int:
             f"({time.perf_counter() - started:.0f} s)",
             flush=True,
         )
-    print(f"{runs} runs matched the oracle ({skipped} infeasible points skipped)")
+        for activity in modes:
+            spent = times[activity]
+            if spent:
+                print(
+                    f"  tracing {'on' if activity else 'off'}: shipped "
+                    f"{spent[DEFAULT]:.2f} s ({FORCED} {spent[FORCED]:.2f} s), "
+                    f"oracle {spent['oracle']:.2f} s",
+                    flush=True,
+                )
+    print(
+        f"{runs} runs matched the oracle under both rules "
+        f"({skipped} infeasible points skipped)"
+    )
     return 0
 
 

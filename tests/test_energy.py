@@ -32,7 +32,7 @@ from repro.energy import (
 from repro.energy.model import _TECHNOLOGIES
 from repro.energy.report import breakdown_from_trace
 from repro.explore import ArchConfig, RFConfig, build_architecture
-from repro.explore.space import dsp_space, small_space
+from repro.explore.space import dsp_space, small_space, space_by_name
 from repro.study import StudySpec, objective_by_name, pareto_front, run_study
 from repro.telemetry import Tracer, load_trace, summarize_trace
 from repro.telemetry.summarize import format_trace_summary
@@ -387,6 +387,45 @@ def test_energy_study_counts_simulated_cycles(tmp_path):
     assert counters["sim_cycles"] == expected
     text = format_trace_summary(summarize_trace(load_trace(path)))
     assert f"sim_cycles={expected}" in text
+
+
+def test_energy_study_counts_compiled_blocks(tmp_path):
+    """crypt's hot block -- 149 instructions at this point, entered 400
+    times -- compiles on its 15th entry (14 x 149 >= 2,048 interpreted
+    instructions) and runs its other 386 entries as generated code; gcd's
+    short blocks never compile.  The counters and the code-generation
+    histogram reach ``trace summarize``."""
+    config = next(
+        c for c in space_by_name("crypt") if c.label() == "b4-alu3-16r2R2W"
+    )
+    path = tmp_path / "compiled.jsonl"
+    with Tracer(path) as tracer:
+        crypt, gcd = (
+            run_study(
+                StudySpec(
+                    name=f"compiled-{workload}", workloads=(workload,),
+                    space=space, width=8, objectives=("cycles", "area", "energy"),
+                ),
+                tracer=tracer,
+                collect_metrics=True,
+            ).single.stats
+            for workload, space in (("crypt", (config,)), ("gcd", "small"))
+        )
+    counters = crypt.counters
+    assert (
+        counters["energy_simulated"], counters["sim_cycles"],
+        counters["sim_compiled_blocks"], counters["sim_compiled_cycles"],
+    ) == (1, 59882, 1, 386 * 149)
+    assert crypt.histograms["sim_codegen_seconds"]["count"] == 1
+    counters = gcd.counters
+    assert counters["energy_simulated"] > 1
+    assert counters["sim_compiled_blocks"] == counters["sim_compiled_cycles"] == 0
+    assert gcd.histograms["sim_codegen_seconds"]["count"] == counters[
+        "energy_simulated"
+    ]
+    text = format_trace_summary(summarize_trace(load_trace(path)))
+    assert "sim_compiled_cycles=57514" in text
+    assert "sim_codegen_seconds" in text
 
 
 @pytest.mark.parametrize(

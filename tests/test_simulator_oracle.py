@@ -10,12 +10,21 @@ item lists, because the energy model sums in key order.  Faulty programs
 must raise the same exception at the same cycle, and a run split by
 ``max_cycles`` must leave what the oracle leaves.
 
+The simulator runs a hot straight-line block as one generated function
+(:mod:`repro.tta.blockgen`).  Every check runs under the default
+selection rule; the compiled-tier tests also set
+``HOT_BLOCK_INSTRUCTIONS`` to 0, which compiles every qualifying block on
+its first entry, and compare a run that raises inside generated code with
+the same run interpreted, internal counts included.
+
 ``tests/simulator_corpus.py`` loops :func:`_check` over a larger grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -28,6 +37,7 @@ from repro.tta.activity import ActivityTrace
 from repro.tta.arch import ArchitectureError
 from repro.tta.encoding import EncodingError
 from repro.tta.isa import Guard, Instruction, Literal, Move, PortRef, Program
+from repro.tta import simulator
 from repro.tta.simulator import DMEM_WORDS, SimulationError, TTASimulator
 
 from tests import oracles
@@ -72,23 +82,54 @@ def _snapshot(sim, result) -> dict:
     }
 
 
-def _check(workload: str, config, width: int, activity: bool) -> bool:
-    """Run both simulators on one compiled point; False if infeasible."""
+@contextmanager
+def _compiling(bound: int):
+    """Set the simulator's block-compilation bound (0: compile every
+    qualifying block on its first entry)."""
+    saved = simulator.HOT_BLOCK_INSTRUCTIONS
+    simulator.HOT_BLOCK_INSTRUCTIONS = bound
+    try:
+        yield
+    finally:
+        simulator.HOT_BLOCK_INSTRUCTIONS = saved
+
+
+#: The selection rules a check runs the shipped simulator under: the
+#: module's bound, and 0.
+DEFAULT, FORCED = "default", "forced"
+
+
+def _check(
+    workload: str, config, width: int, activity: bool,
+    rules=(DEFAULT,), times: dict | None = None,
+) -> bool:
+    """Run the oracle once and the shipped simulator under each of
+    ``rules`` on one compiled point, and compare; False if infeasible.
+
+    ``times``, if given, accumulates host seconds per rule and for the
+    oracle."""
     point = _context(workload, width).evaluate(config, keep_compile_result=True)
     if not point.feasible:
         return False
     program = point.compile_result.program
     arch = build_architecture_cached(config, width)
-    snapshots = []
-    for simulator in (TTASimulator, oracles.TTASimulator):
-        sim = simulator(arch, program, activity=activity)
-        result = sim.run(max_cycles=MAX_CYCLES)
-        assert result.halted, f"{workload} on {config.label()} did not halt"
-        snapshots.append(_snapshot(sim, result))
-    shipped, oracle = snapshots
-    assert shipped == oracle, (
-        f"{workload} on {config.label()} at w{width}, activity={activity}"
-    )
+    label = f"{workload} on {config.label()} at w{width}, activity={activity}"
+    started = time.perf_counter()
+    sim = oracles.TTASimulator(arch, program, activity=activity)
+    result = sim.run(max_cycles=MAX_CYCLES)
+    assert result.halted, f"{workload} on {config.label()} did not halt"
+    oracle = _snapshot(sim, result)
+    seconds = {"oracle": time.perf_counter() - started}
+    for rule in rules:
+        with _compiling(0 if rule == FORCED else simulator.HOT_BLOCK_INSTRUCTIONS):
+            started = time.perf_counter()
+            sim = TTASimulator(arch, program, activity=activity)
+            result = sim.run(max_cycles=MAX_CYCLES)
+            seconds[rule] = time.perf_counter() - started
+        assert _snapshot(sim, result) == oracle, f"{label}, {rule} rule"
+    if times is not None:
+        for key, value in seconds.items():
+            times[key] = times.get(key, 0.0) + value
     return True
 
 
@@ -96,19 +137,22 @@ def _check(workload: str, config, width: int, activity: bool) -> bool:
     "workload", [name for name in workload_names() if name != "crypt"]
 )
 def test_simulator_matches_oracle(workload):
-    """Every small/dsp template that compiles, w8/w16, tracing off/on."""
+    """Every small/dsp template that compiles, w8/w16, tracing off/on,
+    under the default rule and with every qualifying block compiled."""
     runs = 0
     for config in space_by_name("small") + space_by_name("dsp"):
         for width in (8, 16):
             for activity in (False, True):
-                runs += _check(workload, config, width, activity)
+                runs += _check(
+                    workload, config, width, activity, rules=(DEFAULT, FORCED)
+                )
     assert runs >= 48          # at least the 12 dsp templates x 2 x 2
 
 
 @pytest.mark.parametrize("label", CRYPT_CONFIGS)
 def test_crypt_traced_matches_oracle(label):
     config = next(c for c in space_by_name("crypt") if c.label() == label)
-    assert _check("crypt", config, 8, activity=True)
+    assert _check("crypt", config, 8, activity=True, rules=(DEFAULT, FORCED))
 
 
 # ----------------------------------------------------------------------
@@ -314,12 +358,12 @@ def test_jump_targets_wrap_like_oracle(target, activity):
         ([_move(1, "rf0.w0", dst_reg=0)], False),
         ([], True),
     )
-    snapshots = []
-    for simulator in (TTASimulator, oracles.TTASimulator):
-        sim = simulator(FAULT_ARCH, program, activity=activity)
-        snapshots.append(_snapshot(sim, sim.run(max_cycles=50)))
-    shipped, oracle = snapshots
-    assert shipped == oracle
+    sim = oracles.TTASimulator(FAULT_ARCH, program, activity=activity)
+    oracle = _snapshot(sim, sim.run(max_cycles=50))
+    for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+        with _compiling(bound):
+            sim = TTASimulator(FAULT_ARCH, program, activity=activity)
+            assert _snapshot(sim, sim.run(max_cycles=50)) == oracle, bound
 
 
 @pytest.mark.parametrize("activity", [False, True])
@@ -339,16 +383,20 @@ def test_split_runs_match_oracle(workload, label, activity):
     arch = build_architecture_cached(config, 8)
     cycles = TTASimulator(arch, program).run().cycles
     for k in range(1, cycles + 1):
-        legs = []
-        for simulator in (TTASimulator, oracles.TTASimulator):
-            sim = simulator(arch, program, activity=activity)
-            legs.append([
-                _snapshot(sim, sim.run(max_cycles=limit))
-                for limit in (k, MAX_CYCLES, MAX_CYCLES)
-            ])
-        shipped, oracle = legs
-        assert shipped == oracle, f"split at {k}"
-        assert shipped[1]["result"][1], "the second leg halts"
+        sim = oracles.TTASimulator(arch, program, activity=activity)
+        oracle = [
+            _snapshot(sim, sim.run(max_cycles=limit))
+            for limit in (k, MAX_CYCLES, MAX_CYCLES)
+        ]
+        assert oracle[1]["result"][1], "the second leg halts"
+        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+            with _compiling(bound):
+                sim = TTASimulator(arch, program, activity=activity)
+                shipped = [
+                    _snapshot(sim, sim.run(max_cycles=limit))
+                    for limit in (k, MAX_CYCLES, MAX_CYCLES)
+                ]
+            assert shipped == oracle, f"split at {k}, bound {bound}"
 
 
 # ----------------------------------------------------------------------
@@ -362,17 +410,20 @@ def _legs_match_oracle(program: Program, arch=FAULT_ARCH) -> None:
     """Traced, both simulators leave the same snapshot after every leg of
     every split: ``run(max_cycles=k)`` for each k up to one past the
     halt, then ``run()`` twice (each re-run executes the halting
-    instruction again)."""
+    instruction again).  The shipped simulator runs under the default
+    rule and with every qualifying block compiled."""
     cycles = TTASimulator(arch, program).run(max_cycles=50).cycles
     for k in range(1, cycles + 2):
-        legs = []
-        for simulator in (TTASimulator, oracles.TTASimulator):
-            sim = simulator(arch, program, activity=True)
-            legs.append([
-                _snapshot(sim, sim.run(max_cycles=limit)) for limit in (k, 50, 50)
-            ])
-        shipped, oracle = legs
-        assert shipped == oracle, f"split at {k}"
+        sim = oracles.TTASimulator(arch, program, activity=True)
+        limits = (k, 50, 50)
+        oracle = [_snapshot(sim, sim.run(max_cycles=limit)) for limit in limits]
+        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+            with _compiling(bound):
+                sim = TTASimulator(arch, program, activity=True)
+                shipped = [
+                    _snapshot(sim, sim.run(max_cycles=limit)) for limit in limits
+                ]
+            assert shipped == oracle, f"split at {k}, bound {bound}"
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -460,10 +511,210 @@ def test_crypt_split_runs_match_oracle():
     for k in CRYPT_SPLITS:
         oracle = oracles.TTASimulator(arch, program, activity=True)
         cut = _snapshot(oracle, oracle.run(max_cycles=k))
-        sim = TTASimulator(arch, program, activity=True)
-        assert _snapshot(sim, sim.run(max_cycles=k)) == cut, f"cut at {k}"
         counts = [a - b for a, b in zip(done["result"][3:], cut["result"][3:])]
         resumed = dict(done, result=(*done["result"][:3], *counts))
-        assert _snapshot(sim, sim.run(max_cycles=MAX_CYCLES)) == resumed, (
-            f"resumed after {k}"
+        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+            with _compiling(bound):
+                sim = TTASimulator(arch, program, activity=True)
+                assert _snapshot(sim, sim.run(max_cycles=k)) == cut, (
+                    f"cut at {k}, bound {bound}"
+                )
+                assert _snapshot(sim, sim.run(max_cycles=MAX_CYCLES)) == resumed, (
+                    f"resumed after {k}, bound {bound}"
+                )
+
+
+# ----------------------------------------------------------------------
+# the compiled tier: faults, cuts and edges inside generated code
+# ----------------------------------------------------------------------
+def _internals(sim) -> dict:
+    """What a later run reads or folds, beside the architectural state."""
+    state = {
+        "cycle": sim.cycle,
+        "pc": sim.pc,
+        "pending": sim._pending_jump,
+        "regs": sim._regs,
+        "results": sim._results,
+        "due": sim._due,
+    }
+    if sim.activity is not None:
+        sim._fold_runs()
+        state.update(
+            toggles=sim._toggles, execs=sim._execs, firsts=sim._firsts,
+            lives=sim._lives, live_firsts=sim._live_firsts,
+            fetch=(sim._last_word, sim._fetch_toggles),
         )
+    return state
+
+
+def _raise_inside_block(program: Program, activity: bool, error: str):
+    """Run ``program`` to its fault compiled and interpreted: both raise
+    the oracle's error at its cycle and leave the same state and the same
+    internal counts; the compiled run raised inside generated code.  A
+    run that resumes after the fault is repaired leaves both alike too."""
+    oracle = oracles.TTASimulator(FAULT_ARCH, program, activity=activity)
+    with pytest.raises(SimulationError) as caught:
+        oracle.run(max_cycles=200)
+    expected = (str(caught.value), oracle.cycle, oracle.pc)
+    assert error in expected[0]
+    runs = []
+    for bound in (0, 10**9):
+        with _compiling(bound):
+            sim = TTASimulator(FAULT_ARCH, program, activity=activity)
+            with pytest.raises(SimulationError) as caught:
+                sim.run(max_cycles=200)
+        assert (str(caught.value), sim.cycle, sim.pc) == expected, bound
+        assert [sim.rf_value("rf0", r) for r in range(4)] == [
+            oracle.rf_value("rf0", r) for r in range(4)
+        ]
+        assert (_items(sim.dmem), sim.guards) == (_items(oracle.dmem), oracle.guards)
+        runs.append(sim)
+    compiled, interpreted = runs
+    assert compiled._compiled and compiled._compiled[0].calls >= 1, (
+        "the fault must come on a later compiled entry"
+    )
+    assert not interpreted._compiled
+    assert _internals(compiled) == _internals(interpreted)
+    assert compiled.activity == interpreted.activity
+    return compiled, interpreted
+
+
+def _resume_alike(compiled, interpreted, repair) -> None:
+    """Repair the fault in both, run on for a while, compare everything."""
+    snapshots = []
+    for sim in (compiled, interpreted):
+        repair(sim)
+        result = sim.run(max_cycles=sim.cycle + 12)
+        snapshots.append((_snapshot(sim, result), _internals(sim)))
+    assert snapshots[0] == snapshots[1]
+
+
+#: The address doubles thrice per entry of the block at pc 2 and feeds a
+#: load, so the third entry's load faults past ``DMEM_WORDS``; a
+#: multiply in flight at the fault lands inside the block, another one
+#: crosses its edge.
+WALKING_ADDRESS = _program(
+    "walking address",
+    ([_move(1, "alu0.a"), _move(8, "alu0.b", opcode="shl"),
+      _move(3, "mul0.a")], False),
+    ([], False),
+    ([_move("alu0.y", "alu0.a"), _move(3, "alu0.b", opcode="shl"),
+      _move(7, "mul0.b", opcode="mul")], False),
+    ([_move("alu0.y", "lsu0.addr", opcode="ld")], False),
+    ([_move(2, "pc.target", opcode="jump"), _move("mul0.y", "mul0.a"),
+      _move(5, "mul0.b", opcode="mul")], False),
+    ([_move("lsu0.rdata", "rf0.w0", dst_reg=1)], False),   # the delay slot
+    ([], True),
+)
+
+
+def _counting(guarded_read: str, flips: int = 1) -> Program:
+    """A block at pc 2 that counts in alu0.y and copies the count's low
+    bit to g1, then, in the delay slot, moves ``guarded_read`` into r0 on
+    g1: squashed on the first entry, live on the second."""
+    return _program(
+        "counting",
+        ([_move(1, "alu0.a"), _move(0, "alu0.b", opcode="add")], False),
+        ([], False),
+        ([_move("alu0.y", "alu0.a"), _move(flips, "alu0.b", opcode="add")], False),
+        ([_move("alu0.y", "guard.g1"), _move("alu0.y", "rf0.w0", dst_reg=2)],
+         False),
+        ([_move(2, "pc.target", opcode="jump")], False),
+        ([_move(guarded_read, "rf0.w0", dst_reg=0, guard=Guard(1))], False),
+        ([], True),
+    )
+
+
+@pytest.mark.parametrize("activity", [False, True])
+def test_address_fault_inside_a_compiled_block(activity):
+    """A data address that walks out of range faults in the third entry
+    of a compiled block: the error, cycle and state are the oracle's, and
+    the internal counts (and a repaired resumption) the interpreter's."""
+    compiled, interpreted = _raise_inside_block(
+        WALKING_ADDRESS, activity, "out of range"
+    )
+    assert compiled._due, "a multiply was in flight at the fault"
+
+    def repair(sim):
+        sim._results[0] = 1                      # alu0.y back in range
+
+    _resume_alike(compiled, interpreted, repair)
+
+
+#: ``_counting("mul0.y")`` with a multiply that is always squashed (on
+#: g2, set in the prologue) landing in the block before the read.
+SQUASHED_PRODUCER = _program(
+    "squashed producer",
+    ([_move(1, "alu0.a"), _move(0, "alu0.b", opcode="add"),
+      _move(1, "guard.g2")], False),
+    ([], False),
+    ([_move("alu0.y", "alu0.a"), _move(1, "alu0.b", opcode="add"),
+      _move(5, "mul0.b", opcode="mul", guard=Guard(2, invert=True))], False),
+    ([_move("alu0.y", "guard.g1")], False),
+    ([_move(2, "pc.target", opcode="jump")], False),
+    ([_move("mul0.y", "rf0.w0", dst_reg=0, guard=Guard(1))], False),
+    ([], True),
+)
+
+
+@pytest.mark.parametrize("activity", [False, True])
+@pytest.mark.parametrize(
+    "program", [_counting("mul0.y"), SQUASHED_PRODUCER], ids=lambda p: p.name
+)
+def test_eq3_fault_inside_a_compiled_block(program, activity):
+    """A guarded read of a unit that never produced a result (its one
+    trigger, if any, squashed), squashed on the block's first entry and
+    live on its second, faults inside generated code after the jump
+    committed: the pending jump, the counts and a repaired resumption
+    are the interpreter's."""
+    compiled, interpreted = _raise_inside_block(
+        program, activity, "before any result (eq. 3)"
+    )
+    assert compiled._pending_jump is not None
+
+    def repair(sim):
+        sim._results[2] = 9                      # mul0.y now holds a result
+
+    _resume_alike(compiled, interpreted, repair)
+
+
+def test_guarded_move_squashed_on_some_entries():
+    """A guarded move in a compiled block, live on every other entry:
+    the traced legs of every split match the oracle."""
+    _legs_match_oracle(_counting("alu0.y"))
+
+
+def test_results_in_flight_across_the_block_edge():
+    """Results that cross the block edge land in the next entry's first
+    cycles, in unit order: two alu0 results of one instruction in trigger
+    order, then a multiply; one more multiply lands inside the block."""
+    program = _program(
+        "across the edge",
+        ([_move(1, "alu0.a"), _move(4, "alu0.b", opcode="add"),
+          _move(3, "mul0.a")], False),
+        ([], False),
+        ([_move(1, "alu0.b", opcode="add"), _move("alu0.y", "rf0.w0", dst_reg=0),
+          _move(2, "mul0.b", opcode="mul")], False),
+        ([_move(2, "pc.target", opcode="jump"),
+          _move("alu0.y", "mul0.b", opcode="mul"),
+          _move(5, "alu0.b", opcode="add")], False),
+        ([_move("alu0.y", "alu0.a"), _move(6, "alu0.b", opcode="add"),
+          _move(7, "alu0.b", opcode="add")], False),
+        ([], True),
+    )
+    _legs_match_oracle(program)
+
+
+def test_first_entry_cut_then_compiled():
+    """A block whose first entry is cut by ``max_cycles`` -- at each of
+    its cycles and at its very start -- and then resumed: every leg
+    matches the oracle, and a cut at the start leaves instructions whose
+    first execution is compiled."""
+    program = _counting("alu0.y", flips=2)
+    _legs_match_oracle(program)
+    with _compiling(0):
+        sim = TTASimulator(FAULT_ARCH, program, activity=True)
+        sim.run(max_cycles=2)                    # stops at the block's entry
+        assert (sim.pc, sim._execs[2:6]) == (2, [0, 0, 0, 0])
+        sim.run(max_cycles=6)
+    assert sim._compiled[0].calls == 1 and sim._firsts[2:6] == [2, 3, 4, 5]
