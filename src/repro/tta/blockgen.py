@@ -15,11 +15,11 @@ never need a statement: the generator tracks, per slot, which local or
 constant holds its value (a local is assigned once, or once before and
 once inside a guarded branch), so a move into an operand register or
 onto a bus only renames.  A toggle between two constants is summed
-while generating; the block's other unconditional toggles are counted
-on exit, one popcount per slot over an int packing their XORs.
-Register files, guards and data memory are written in place.  A result that lands inside the block is assigned directly; one
-that crosses the block edge is queued in the simulator's ``due`` map, as
-are the results due in the block's first cycles from before it.
+while generating; every other toggle is added to its slot's local tally
+where it happens.  Register files, guards and data memory are written
+in place.  A result that lands inside the block is assigned directly;
+one that crosses the block edge is queued in the simulator's ``due``
+map, as are the results due in the block's first cycles from before it.
 
 The only raising sites are an eq. 3 read of a result register that may
 still be empty and, when the width can address past ``DMEM_WORDS``, an
@@ -32,7 +32,6 @@ error.
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 from typing import Callable
 
@@ -46,22 +45,6 @@ from repro.tta.simulator import (
 )
 
 _by_unit = itemgetter(0)
-
-
-def _packer(width: int):
-    """A function packing a tuple of ``width``-bit words into one int, and
-    the bits each word takes in it; None if no array type holds them."""
-    if width <= 8:
-        return (lambda words: int.from_bytes(bytes(words), "little")), 8
-    for code in "HILQ":
-        bits = array(code).itemsize * 8
-        if width <= bits:
-            return (
-                lambda words, code=code: int.from_bytes(
-                    array(code, words).tobytes(), "little"
-                )
-            ), bits
-    return None
 
 
 def compile_block(sim: TTASimulator, block: _Block) -> Callable:
@@ -94,8 +77,6 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
     res: dict[int, str] = {}           # result register -> its value
     static: dict[int, int] = {}        # toggle slot -> toggles summed here
     tallies: dict[int, None] = {}      # toggle slots tallied in ``t<slot>``
-    terms: list[tuple] = []            # (slot, old, new) counted on exit
-    packer = _packer(sim.arch.width) if traced else None
     fresh = iter(range(1 << 30))       # numbers for single-assignment names
     landings: dict[int, list] = {}     # offset -> [(unit, q name, guarded)]
     inflight: list[tuple] = []         # (q name, landing offset, unit)
@@ -120,13 +101,9 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
             cur[slot] = f"s{slot}"
         return cur[slot]
 
-    def simple(val) -> bool:
-        return type(val) is int or val.isidentifier()
-
     def toggle(pad: str, slot: int, old, new) -> None:
         """Count the toggles of ``slot`` going from ``old`` to ``new``:
-        summed here between constants, on exit between names that are
-        never reassigned, else in its ``t`` tally."""
+        summed here between constants, else in its ``t`` tally."""
         if not traced:
             return
         if type(old) is int and type(new) is int:
@@ -134,9 +111,6 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
                 static[slot] = static.get(slot, 0) + (old ^ new).bit_count()
                 return
             emit(f"{pad}t{slot} += {(old ^ new).bit_count()}")
-        elif pad == "    " and packer and simple(old) and simple(new):
-            terms.append((slot, old, new))
-            return
         else:
             emit(f"{pad}t{slot} += ({old} ^ {new}).bit_count()")
         tallies[slot] = None
@@ -155,22 +129,10 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
         emit(f"    {name} = {value(slot)}")
         cur[slot] = name
 
-    def store(pad: str, slot: int, target: str, new) -> None:
-        """Write ``new`` to a register-file word or guard bit."""
-        if pad == "    " and packer and traced and simple(new):
-            old = f"o{next(fresh)}"
-            emit(f"    {old} = {target}")
-            toggle(pad, slot, old, new)
-        else:
-            toggle(pad, slot, target, new)
-        emit(f"{pad}{target} = {new}")
-
     def site(pad: str, condition: str, offset: int, message) -> None:
         emit(f"{pad}if {condition}:")
         emit(f"{pad}    fault({len(sites)}, locals())")
-        sites.append(
-            (offset, message, dict(cur), dict(res), dict(static), len(terms))
-        )
+        sites.append((offset, message, dict(cur), dict(res), dict(static)))
 
     static_triggers = 0
     guarded_moves = guarded_triggers = False
@@ -269,8 +231,8 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
                 if type(val) is int:
                     new = val & 1
                 else:
-                    emit(f"{pad}x = {val} & 1")
-                    new = "x"
+                    new = f"g{next(fresh)}"
+                    emit(f"{pad}{new} = {val} & 1")
             if dst is regs:
                 toggle(pad, index, value(index), new)
                 assign(pad, index, new)
@@ -279,7 +241,8 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
                 f"guards[{index}]" if dst is guards
                 else f"{bind(dst, 'm')}[{index}]"
             )
-            store(pad, slot, target, new)
+            toggle(pad, slot, target, new)
+            emit(f"{pad}{target} = {new}")
 
         for bus, port, kind, operation, fu, latency, operand in launches:
             val, guarded = values[bus]
@@ -345,22 +308,6 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
         counted[slot].append(f"t{slot}")
     for slot, count in static.items():
         counted[slot].append(str(count))
-    if terms:
-        # One packed int of every deferred toggle, grouped by slot.
-        pack, bits = packer
-        namespace["pack"] = pack
-        ordered = sorted(terms, key=_by_unit)
-        tail.append(
-            f"    x = pack(({', '.join(f'{a} ^ {b}' for _s, a, b in ordered)},))"
-        )
-        first = 0
-        for slot in dict.fromkeys(slot for slot, _a, _b in ordered):
-            last = first + sum(1 for term in ordered if term[0] == slot)
-            part = f"x >> {first * bits}" if first else "x"
-            if last < len(ordered):
-                part = f"{part} & {(1 << (last - first) * bits) - 1}"
-            counted.setdefault(slot, []).append(f"({part}).bit_count()")
-            first = last
     for slot, parts in counted.items():
         tail.append(f"    toggles[{slot}] += {' + '.join(parts)}")
     target = f"jt if {jump_value} is not None else {fall}" if jump_guarded else "jt"
@@ -382,7 +329,7 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
         """Write back the state of an entry that faults at site ``number``,
         queue its results still in flight, record where it stopped and
         raise."""
-        offset, message, slot_values, unit_values, summed, deferred = sites[number]
+        offset, message, slot_values, unit_values, summed = sites[number]
 
         def read(val):
             return val if type(val) is int else names[val]
@@ -395,8 +342,6 @@ def compile_block(sim: TTASimulator, block: _Block) -> Callable:
             toggles[slot] += names[f"t{slot}"]
         for slot, count in summed.items():
             toggles[slot] += count
-        for slot, old, new in terms[:deferred]:
-            toggles[slot] += (read(old) ^ read(new)).bit_count()
         c = names["c"]
         for q, landing, fu in inflight:
             result = names.get(q)

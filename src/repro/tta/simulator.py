@@ -630,12 +630,13 @@ class TTASimulator:
         qualifying block entered at each pc (None elsewhere).
 
         A block starts at a leader -- a literal jump's target or the pc
-        after a delay slot -- and runs through its one jump's delay slot;
-        it does not qualify if it reaches another leader first, or holds a
-        halt, a port-counted RF, a decoded fault or a guard index outside
-        the guard file.
+        after a jump's delay slots -- and runs through its one jump's
+        ``BRANCH_DELAY_SLOTS`` delay slots; it does not qualify if it
+        reaches another leader first, or holds a halt, a port-counted RF,
+        a decoded fault or a guard index outside the guard file.
         """
         end = len(code)
+        delay = BRANCH_DELAY_SLOTS
         guards = self.guards
         jumps = set()       # pcs of the instructions with a jump trigger
         leaders = set()
@@ -663,9 +664,9 @@ class TTASimulator:
                         leaders.add(src[index] % (end + 1))
             plain.append(fine)
         for pc in jumps:
-            leaders.add(pc + 2)
+            leaders.add(pc + delay + 1)
         for pc in range(end):
-            if code[pc][4] is None and (pc - 1 in jumps or pc + 1 in leaders):
+            if code[pc][4] is None and (pc - delay in jumps or pc + 1 in leaders):
                 code[pc] = (*code[pc][:4], _BOUNDARY, *code[pc][5:])
         blocks: list[_Block | None] = [None] * (end + 1)
         for entry in leaders:
@@ -674,12 +675,12 @@ class TTASimulator:
                 pc + 1 not in leaders
             ):
                 pc += 1
-            slot = pc + 1             # the delay slot
-            if pc in jumps and slot < end and slot not in jumps and all(
-                plain[entry:slot + 1]
+            last = pc + delay         # the jump's last delay slot
+            if pc in jumps and last < end and all(plain[entry:last + 1]) and (
+                jumps.isdisjoint(range(pc + 1, last + 1))
             ):
-                moves = sum(code[p][3] for p in range(entry, slot + 1))
-                blocks[entry] = _Block(entry, slot + 1 - entry, moves)
+                moves = sum(code[p][3] for p in range(entry, last + 1))
+                blocks[entry] = _Block(entry, last + 1 - entry, moves)
         return blocks
 
     # ------------------------------------------------------------------
@@ -958,6 +959,8 @@ class TTASimulator:
         offset, target = block.stop[0]
         pending = None
         if target is not None:
+            # The jump's BRANCH_DELAY_SLOTS delay slots end the block, so
+            # it is due in the block's last cycle.
             pending = (cycle + block.length - 1, target)
         if self.activity is not None:
             self._fold_runs()

@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from repro.apps.registry import workload_names  # noqa: E402
 from repro.explore.space import space_by_name  # noqa: E402
 
-from tests.test_simulator_oracle import DEFAULT, FORCED, _check  # noqa: E402
+from tests.test_simulator_oracle import BOUNDS, _check  # noqa: E402
 
 
 def _names(text: str) -> list[str]:
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
                         try:
                             compared = _check(
                                 workload, config, width, activity,
-                                rules=(DEFAULT, FORCED), times=times[activity],
+                                times=times[activity],
                             )
                         except AssertionError as exc:
                             print(f"MISMATCH after {runs} runs: {exc}")
@@ -81,14 +81,14 @@ def main(argv=None) -> int:
         for activity in modes:
             spent = times[activity]
             if spent:
+                shipped = ", ".join(f"{rule} {spent[rule]:.2f} s" for rule in BOUNDS)
                 print(
                     f"  tracing {'on' if activity else 'off'}: shipped "
-                    f"{spent[DEFAULT]:.2f} s ({FORCED} {spent[FORCED]:.2f} s), "
-                    f"oracle {spent['oracle']:.2f} s",
+                    f"{shipped}; oracle {spent['oracle']:.2f} s",
                     flush=True,
                 )
     print(
-        f"{runs} runs matched the oracle under both rules "
+        f"{runs} runs matched the oracle under both bounds "
         f"({skipped} infeasible points skipped)"
     )
     return 0

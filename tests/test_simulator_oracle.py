@@ -11,11 +11,12 @@ must raise the same exception at the same cycle, and a run split by
 ``max_cycles`` must leave what the oracle leaves.
 
 The simulator runs a hot straight-line block as one generated function
-(:mod:`repro.tta.blockgen`).  Every check runs under the default
-selection rule; the compiled-tier tests also set
-``HOT_BLOCK_INSTRUCTIONS`` to 0, which compiles every qualifying block on
-its first entry, and compare a run that raises inside generated code with
-the same run interpreted, internal counts included.
+(:mod:`repro.tta.blockgen`).  The checks run the shipped simulator under
+each of :data:`BOUNDS`: the default selection rule, and
+``HOT_BLOCK_INSTRUCTIONS`` set to 0, which compiles every qualifying
+block on its first entry.  The compiled-tier tests also compare a run
+that raises inside generated code with the same run interpreted,
+internal counts included.
 
 ``tests/simulator_corpus.py`` loops :func:`_check` over a larger grid.
 """
@@ -94,20 +95,21 @@ def _compiling(bound: int):
         simulator.HOT_BLOCK_INSTRUCTIONS = saved
 
 
-#: The selection rules a check runs the shipped simulator under: the
-#: module's bound, and 0.
-DEFAULT, FORCED = "default", "forced"
+#: The block-compilation bounds every check runs the shipped simulator
+#: under, by label: the module's own, and 0, which compiles every
+#: qualifying block on its first entry.
+BOUNDS = {"default": simulator.HOT_BLOCK_INSTRUCTIONS, "forced": 0}
 
 
 def _check(
-    workload: str, config, width: int, activity: bool,
-    rules=(DEFAULT,), times: dict | None = None,
+    workload: str, config, width: int, activity: bool, times: dict | None = None
 ) -> bool:
     """Run the oracle once and the shipped simulator under each of
-    ``rules`` on one compiled point, and compare; False if infeasible.
+    :data:`BOUNDS` on one compiled point, and compare; False if
+    infeasible.
 
-    ``times``, if given, accumulates host seconds per rule and for the
-    oracle."""
+    ``times``, if given, accumulates host seconds per bound label and
+    for the oracle."""
     point = _context(workload, width).evaluate(config, keep_compile_result=True)
     if not point.feasible:
         return False
@@ -120,13 +122,13 @@ def _check(
     assert result.halted, f"{workload} on {config.label()} did not halt"
     oracle = _snapshot(sim, result)
     seconds = {"oracle": time.perf_counter() - started}
-    for rule in rules:
-        with _compiling(0 if rule == FORCED else simulator.HOT_BLOCK_INSTRUCTIONS):
+    for rule, bound in BOUNDS.items():
+        with _compiling(bound):
             started = time.perf_counter()
             sim = TTASimulator(arch, program, activity=activity)
             result = sim.run(max_cycles=MAX_CYCLES)
             seconds[rule] = time.perf_counter() - started
-        assert _snapshot(sim, result) == oracle, f"{label}, {rule} rule"
+        assert _snapshot(sim, result) == oracle, f"{label}, {rule} bound"
     if times is not None:
         for key, value in seconds.items():
             times[key] = times.get(key, 0.0) + value
@@ -143,16 +145,14 @@ def test_simulator_matches_oracle(workload):
     for config in space_by_name("small") + space_by_name("dsp"):
         for width in (8, 16):
             for activity in (False, True):
-                runs += _check(
-                    workload, config, width, activity, rules=(DEFAULT, FORCED)
-                )
+                runs += _check(workload, config, width, activity)
     assert runs >= 48          # at least the 12 dsp templates x 2 x 2
 
 
 @pytest.mark.parametrize("label", CRYPT_CONFIGS)
 def test_crypt_traced_matches_oracle(label):
     config = next(c for c in space_by_name("crypt") if c.label() == label)
-    assert _check("crypt", config, 8, activity=True, rules=(DEFAULT, FORCED))
+    assert _check("crypt", config, 8, activity=True)
 
 
 # ----------------------------------------------------------------------
@@ -360,10 +360,10 @@ def test_jump_targets_wrap_like_oracle(target, activity):
     )
     sim = oracles.TTASimulator(FAULT_ARCH, program, activity=activity)
     oracle = _snapshot(sim, sim.run(max_cycles=50))
-    for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+    for rule, bound in BOUNDS.items():
         with _compiling(bound):
             sim = TTASimulator(FAULT_ARCH, program, activity=activity)
-            assert _snapshot(sim, sim.run(max_cycles=50)) == oracle, bound
+            assert _snapshot(sim, sim.run(max_cycles=50)) == oracle, rule
 
 
 @pytest.mark.parametrize("activity", [False, True])
@@ -389,14 +389,14 @@ def test_split_runs_match_oracle(workload, label, activity):
             for limit in (k, MAX_CYCLES, MAX_CYCLES)
         ]
         assert oracle[1]["result"][1], "the second leg halts"
-        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+        for rule, bound in BOUNDS.items():
             with _compiling(bound):
                 sim = TTASimulator(arch, program, activity=activity)
                 shipped = [
                     _snapshot(sim, sim.run(max_cycles=limit))
                     for limit in (k, MAX_CYCLES, MAX_CYCLES)
                 ]
-            assert shipped == oracle, f"split at {k}, bound {bound}"
+            assert shipped == oracle, f"split at {k}, {rule} bound"
 
 
 # ----------------------------------------------------------------------
@@ -410,20 +410,20 @@ def _legs_match_oracle(program: Program, arch=FAULT_ARCH) -> None:
     """Traced, both simulators leave the same snapshot after every leg of
     every split: ``run(max_cycles=k)`` for each k up to one past the
     halt, then ``run()`` twice (each re-run executes the halting
-    instruction again).  The shipped simulator runs under the default
-    rule and with every qualifying block compiled."""
+    instruction again).  The shipped simulator runs under each of
+    :data:`BOUNDS`."""
     cycles = TTASimulator(arch, program).run(max_cycles=50).cycles
     for k in range(1, cycles + 2):
         sim = oracles.TTASimulator(arch, program, activity=True)
         limits = (k, 50, 50)
         oracle = [_snapshot(sim, sim.run(max_cycles=limit)) for limit in limits]
-        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+        for rule, bound in BOUNDS.items():
             with _compiling(bound):
                 sim = TTASimulator(arch, program, activity=True)
                 shipped = [
                     _snapshot(sim, sim.run(max_cycles=limit)) for limit in limits
                 ]
-            assert shipped == oracle, f"split at {k}, bound {bound}"
+            assert shipped == oracle, f"split at {k}, {rule} bound"
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -513,14 +513,14 @@ def test_crypt_split_runs_match_oracle():
         cut = _snapshot(oracle, oracle.run(max_cycles=k))
         counts = [a - b for a, b in zip(done["result"][3:], cut["result"][3:])]
         resumed = dict(done, result=(*done["result"][:3], *counts))
-        for bound in (simulator.HOT_BLOCK_INSTRUCTIONS, 0):
+        for rule, bound in BOUNDS.items():
             with _compiling(bound):
                 sim = TTASimulator(arch, program, activity=True)
                 assert _snapshot(sim, sim.run(max_cycles=k)) == cut, (
-                    f"cut at {k}, bound {bound}"
+                    f"cut at {k}, {rule} bound"
                 )
                 assert _snapshot(sim, sim.run(max_cycles=MAX_CYCLES)) == resumed, (
-                    f"resumed after {k}, bound {bound}"
+                    f"resumed after {k}, {rule} bound"
                 )
 
 
@@ -548,8 +548,9 @@ def _internals(sim) -> dict:
 
 
 def _raise_inside_block(program: Program, activity: bool, error: str):
-    """Run ``program`` to its fault compiled and interpreted: both raise
-    the oracle's error at its cycle and leave the same state and the same
+    """Run ``program`` to its fault under each of :data:`BOUNDS` --
+    interpreted under the default, compiled when forced: both raise the
+    oracle's error at its cycle and leave the same state and the same
     internal counts; the compiled run raised inside generated code.  A
     run that resumes after the fault is repaired leaves both alike too."""
     oracle = oracles.TTASimulator(FAULT_ARCH, program, activity=activity)
@@ -558,18 +559,18 @@ def _raise_inside_block(program: Program, activity: bool, error: str):
     expected = (str(caught.value), oracle.cycle, oracle.pc)
     assert error in expected[0]
     runs = []
-    for bound in (0, 10**9):
+    for rule, bound in BOUNDS.items():
         with _compiling(bound):
             sim = TTASimulator(FAULT_ARCH, program, activity=activity)
             with pytest.raises(SimulationError) as caught:
                 sim.run(max_cycles=200)
-        assert (str(caught.value), sim.cycle, sim.pc) == expected, bound
+        assert (str(caught.value), sim.cycle, sim.pc) == expected, rule
         assert [sim.rf_value("rf0", r) for r in range(4)] == [
             oracle.rf_value("rf0", r) for r in range(4)
         ]
         assert (_items(sim.dmem), sim.guards) == (_items(oracle.dmem), oracle.guards)
         runs.append(sim)
-    compiled, interpreted = runs
+    interpreted, compiled = runs
     assert compiled._compiled and compiled._compiled[0].calls >= 1, (
         "the fault must come on a later compiled entry"
     )
@@ -687,7 +688,8 @@ def test_guarded_move_squashed_on_some_entries():
 def test_results_in_flight_across_the_block_edge():
     """Results that cross the block edge land in the next entry's first
     cycles, in unit order: two alu0 results of one instruction in trigger
-    order, then a multiply; one more multiply lands inside the block."""
+    order, then a multiply.  One more multiply, and two alu0 results of
+    one instruction, land inside the block."""
     program = _program(
         "across the edge",
         ([_move(1, "alu0.a"), _move(4, "alu0.b", opcode="add"),
@@ -695,6 +697,8 @@ def test_results_in_flight_across_the_block_edge():
         ([], False),
         ([_move(1, "alu0.b", opcode="add"), _move("alu0.y", "rf0.w0", dst_reg=0),
           _move(2, "mul0.b", opcode="mul")], False),
+        ([_move(8, "alu0.b", opcode="add"), _move(9, "alu0.b", opcode="add")],
+         False),
         ([_move(2, "pc.target", opcode="jump"),
           _move("alu0.y", "mul0.b", opcode="mul"),
           _move(5, "alu0.b", opcode="add")], False),
@@ -705,6 +709,51 @@ def test_results_in_flight_across_the_block_edge():
     _legs_match_oracle(program)
 
 
+def _guard_first(write: Move) -> Program:
+    """A block at pc 2 whose first instruction makes ``write`` to g1 (from
+    an RF word or a result), before the results queued ahead of the entry
+    land; the delay slot reads g1."""
+    return _program(
+        f"g1 from {write.src} first",
+        ([_move(1, "alu0.a"), _move(0, "alu0.b", opcode="add")], False),
+        ([_move(1, "rf0.w0", dst_reg=0)], False),
+        ([write, _move("alu0.y", "alu0.a"),
+          _move(1, "alu0.b", opcode="add")], False),
+        ([_move("alu0.y", "rf0.w0", dst_reg=0)], False),
+        ([_move(2, "pc.target", opcode="jump")], False),
+        ([_move(7, "rf0.w0", dst_reg=1, guard=Guard(1))], False),
+        ([], True),
+    )
+
+
+#: A block writing g1 and g2 from results that differ, then g1 again
+#: on g2.
+GUARDS_TWICE = _program(
+    "guards written twice",
+    ([_move(1, "alu0.a"), _move(0, "alu0.b", opcode="add")], False),
+    ([], False),
+    ([_move("alu0.y", "alu0.a"), _move(1, "alu0.b", opcode="add")], False),
+    ([_move("alu0.y", "guard.g1"), _move("alu0.y", "alu0.a"),
+      _move(1, "alu0.b", opcode="add")], False),
+    ([_move(2, "pc.target", opcode="jump"), _move("alu0.y", "guard.g2")], False),
+    ([_move("alu0.y", "guard.g1", guard=Guard(2)),
+      _move(7, "rf0.w0", dst_reg=1, guard=Guard(1))], False),
+    ([], True),
+)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [_guard_first(_move("rf0.r0", "guard.g1", src_reg=0)),
+     _guard_first(_move("alu0.y", "guard.g1")), GUARDS_TWICE],
+    ids=lambda p: p.name,
+)
+def test_guard_bits_written_in_a_block(program):
+    """Guard bits written from values only known at run time: each write
+    toggles the guard bits from the value it overwrites."""
+    _legs_match_oracle(program)
+
+
 def test_first_entry_cut_then_compiled():
     """A block whose first entry is cut by ``max_cycles`` -- at each of
     its cycles and at its very start -- and then resumed: every leg
@@ -712,7 +761,7 @@ def test_first_entry_cut_then_compiled():
     first execution is compiled."""
     program = _counting("alu0.y", flips=2)
     _legs_match_oracle(program)
-    with _compiling(0):
+    with _compiling(BOUNDS["forced"]):
         sim = TTASimulator(FAULT_ARCH, program, activity=True)
         sim.run(max_cycles=2)                    # stops at the block's entry
         assert (sim.pc, sim._execs[2:6]) == (2, [0, 0, 0, 0])
